@@ -73,7 +73,6 @@ from .perms import (
     apply_symmetry,
     direct_sum,
     format_perm,
-    greedy_word_involves,
     involves,
     parse_perm,
     skew_sum,

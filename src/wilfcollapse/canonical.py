@@ -298,60 +298,20 @@ def rewrite_closure(class_id: ClassId, element, cap: int = 12) -> frozenset:
 # ---------------------------------------------------------------------------
 # Greedy factorization
 
-def _composition_match_end(pattern: Composition, word: Composition) -> int | None:
-    if not pattern:
-        return 0
-    i = 0
-    for idx, part in enumerate(word):
-        if pattern[i] <= part:
-            i += 1
-            if i == len(pattern):
-                return idx + 1
-    return None
-
-
-def _sum_word_match_end(pattern: SumWord, word: SumWord) -> int | None:
-    pos = 0
-    n = len(word)
-    for letter in pattern:
-        if letter > 0:
-            while pos < n and not (word[pos] > 0 and word[pos] >= letter):
-                pos += 1
-            if pos == n:
-                return None
-            pos += 1
-        else:
-            need = -letter
-            while pos < n and need > 0:
-                cap = -word[pos] if word[pos] < 0 else word[pos] - 1
-                need -= cap
-                pos += 1
-            if need > 0:
-                return None
-    return pos
-
-
-_MATCH_END = {
-    ClassId.AV_312_231: _composition_match_end,
-    ClassId.AV_312_321: _sum_word_match_end,
-}
-
-
 def shortest_prefix_end(class_id: ClassId, word, pattern) -> int | None:
     """Length of the shortest prefix of word involving pattern, or None."""
-    return _MATCH_END[class_id](tuple(pattern), tuple(word))
+    return next(
+        (k for k in range(len(word) + 1) if class_leq(class_id, pattern, word[:k])),
+        None,
+    )
 
 
 def shortest_suffix_start(class_id: ClassId, word, pattern) -> int | None:
-    """Start index of the shortest suffix of word involving pattern, or None.
-
-    Involvement is preserved by reversing the letter order of both words
-    (the symmetry reflecting through the anti-diagonal fixes every letter),
-    so the minimal suffix is found by matching the reversed pattern against
-    the reversed word.
-    """
-    end = _MATCH_END[class_id](tuple(reversed(pattern)), tuple(reversed(word)))
-    return None if end is None else len(word) - end
+    """Start index of the shortest suffix of word involving pattern, or None."""
+    return next(
+        (k for k in range(len(word), -1, -1) if class_leq(class_id, pattern, word[k:])),
+        None,
+    )
 
 
 def greedy_factorize(class_id: ClassId, word, prefix_pattern, suffix_pattern):
@@ -360,7 +320,7 @@ def greedy_factorize(class_id: ClassId, word, prefix_pattern, suffix_pattern):
     prefix involving prefix_pattern and suffix the shortest suffix involving
     suffix_pattern.  Raises NotInvolvedError when no such split exists.
     """
-    if class_id not in _MATCH_END:
+    if class_id not in (ClassId.AV_312_231, ClassId.AV_312_321):
         raise PreconditionError("factorization applies to c3 and c4 only")
     end = shortest_prefix_end(class_id, word, prefix_pattern)
     start = shortest_suffix_start(class_id, word, suffix_pattern)

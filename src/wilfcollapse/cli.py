@@ -39,6 +39,18 @@ from .genfun import avoid_gf_layered, avoid_gf_sum_word, layered_root, lis_root
 from .perms import format_perm
 
 
+def _at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wilfcollapse",
@@ -58,9 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--class", dest="class_id", required=True,
                            choices=["c1", "c2", "c3", "c4"])
         if with_n:
-            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--n", type=_at_least(0), required=True)
         if with_depth:
-            p.add_argument("--depth", type=int, default=16)
+            p.add_argument("--depth", type=_at_least(0), default=16)
 
     p = sub.add_parser("enumerate", help="list all class members of one size")
     add_common(p, with_n=True)
@@ -76,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", help="avoidance generating function of a pattern")
     add_common(p)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--expand", type=int, default=None, metavar="N",
+    p.add_argument("--expand", type=_at_least(0), default=None, metavar="N",
                    help="also print series coefficients up to order N")
 
     p = sub.add_parser("roots", help="table of separating real roots")
@@ -84,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--family", choices=["q", "layered"], required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-n", type=_at_least(1), required=True)
 
     p = sub.add_parser("verify",
                        help="check the canonical grouping against brute force")
@@ -93,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="collapse table n, c_n, w_n, canonical count")
     add_common(p, with_depth=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_at_least(1), required=True)
 
     return parser
 
@@ -203,11 +214,11 @@ def _cmd_roots(args) -> int:
     rows = []
     if args.family == "q":
         for n in range(1, args.max_n + 1):
-            root = lis_root(n, args.tol)
+            root = lis_root(n)
             rows.append([root.kind, n, f"{root.value:.15f}"])
     else:
         for a in range(2, args.max_n + 1):
-            root = layered_root(a, args.tol)
+            root = layered_root(a)
             rows.append([root.kind, a, f"{root.value:.15f}"])
     if args.format == "json":
         payload = [

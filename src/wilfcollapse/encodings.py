@@ -365,18 +365,6 @@ def avoiding_elements(class_id: ClassId, pattern: ClassElement, n: int) -> tuple
     return tuple(e for e in generate(class_id, n) if not leq(pattern, e))
 
 
-def composition_prefix_in_letter(prefix: tuple, letter: int) -> bool:
-    """Oracle for the generic greedy word scan over composition letters."""
-    if len(prefix) > 1:
-        return False
-    return not prefix or prefix[0] <= letter
-
-
-def sum_word_capacity(word: SumWord) -> int:
-    """Longest increasing subsequence of the decoded permutation."""
-    return sum(letter_capacity(letter) for letter in word)
-
-
 def sum_word_concat(x: SumWord, y: SumWord) -> SumWord:
     """Concatenate two sum words, merging runs that meet at the junction."""
     if x and y and x[-1] < 0 and y[0] < 0:

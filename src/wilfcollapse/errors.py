@@ -29,14 +29,6 @@ class PoleError(ArithmeticError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-class AmbiguousPoleError(ArithmeticError):
-    """Both numerator and denominator vanish within tolerance; the form is not reduced enough."""
-
-
-class OrderMismatchError(ValueError):
-    """Arithmetic between truncated series of different orders."""
-
-
 class CapExceededError(ValueError):
     """Input size above the configured cap of an exhaustive search."""
 

@@ -20,13 +20,14 @@ is kept for diagnosis only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .encodings import ClassId, Composition, SumWord, validate_element
-from .errors import AmbiguousPoleError, PreconditionError
-from .series import ONE, Poly, RationalGF, T
+from .errors import PreconditionError
+from .series import ONE, Poly, RationalGF, T, poly_gcd
 
 _ONE_GF = RationalGF.of(ONE)
 _ONE_MINUS_T = Poly.of(1, -1)
@@ -222,9 +223,9 @@ class RootValue:
     index: int
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         fmid = f(mid)
         if fmid == 0:
@@ -236,7 +237,7 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return (lo + hi) / 2
 
 
-def layered_root(a: int, tol: float = 1e-12) -> RootValue:
+def layered_root(a: int) -> RootValue:
     """
     Least positive zero of 1 - t - ... - t^(a-1).  Exactly 1 for a = 2 and
     strictly decreasing toward 1/2 as a grows.
@@ -247,59 +248,61 @@ def layered_root(a: int, tol: float = 1e-12) -> RootValue:
         return RootValue(1.0, "layered", a)
     poly = layered_denominator(a)
     # Strictly decreasing on (0, 1], positive at 0 and negative at 1.
-    value = _bisect(lambda x: poly.eval(x), 0.0, 1.0, tol)
+    value = _bisect(lambda x: poly.eval(x), 0.0, 1.0)
     return RootValue(value, "layered", a)
 
 
-def lis_root(n: int, tol: float = 1e-12) -> RootValue:
+def _sign_at(poly: Poly, x: Fraction) -> int:
+    """Exact sign of poly at x, by Horner's rule scaled by q**degree for x = p/q."""
+    p, q = x.numerator, x.denominator
+    acc, q_power = 0, 1
+    for c in reversed(poly.coeffs):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _changes_sign_around(poly: Poly, root: float) -> bool:
+    """Whether poly changes sign on the interval root * (1 +- 5e-7), decided exactly."""
+    x = Fraction(root)
+    half_width = x / 2_000_000
+    return _sign_at(poly, x - half_width) * _sign_at(poly, x + half_width) < 0
+
+
+def lis_root(n: int) -> RootValue:
     """
     Greatest real zero of the reduced run-count polynomial of index n.
     Exactly -1 for n = 1; in (-1/2, 0) and strictly increasing for n >= 2.
-    Found by a downward sign-change scan on [-1, 0) followed by bisection.
+    By the Chebyshev identity it is -4 sin^2(pi / (2(2n+1))); each value is
+    confirmed by an exact sign change of the polynomial around it.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
     if n == 1:
         return RootValue(-1.0, "lis", n)
-    poly = reduced_lis_poly(n)
-    step = 1.0 / 1024.0
-    x = 0.0
-    fx = poly.eval(0.0)
-    while x > -1.0 - step:
-        nxt = x - step
-        fn = poly.eval(nxt)
-        if fn == 0:
-            return RootValue(nxt, "lis", n)
-        if (fx > 0) != (fn > 0):
-            value = _bisect(poly.eval, nxt, x, tol)
-            return RootValue(value, "lis", n)
-        x, fx = nxt, fn
-    raise ArithmeticError(f"no sign change found for index {n}")
+    value = -4.0 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2
+    if not _changes_sign_around(reduced_lis_poly(n), value):
+        raise ArithmeticError(f"no sign change around the closed form for index {n}")
+    return RootValue(value, "lis", n)
 
 
 # ---------------------------------------------------------------------------
 # Pole and zero checks
 
-def classify_pole(partition: tuple[int, ...], a: int, tol: float = 1e-9) -> str:
+def classify_pole(partition: tuple[int, ...], a: int) -> str:
     """
     Behaviour of the layered avoidance GF of a partition pattern at the
-    least positive layered root for a: "finite" when the reduced denominator
-    stays away from zero there, "infinite" when it vanishes while the
-    numerator does not.
+    least positive layered root for a: "infinite" when the reduced
+    denominator vanishes there, "finite" otherwise.  Decided exactly:
+    1 - t - ... - t^(a-1) is irreducible over the rationals, so the
+    denominator vanishes at its root exactly when it is divisible by it.
     """
     if a <= 2:
         raise PreconditionError("a must be greater than 2")
     if list(partition) != sorted(partition, reverse=True):
         raise PreconditionError("pattern must be weakly decreasing")
-    gf = avoid_gf_layered(tuple(partition))
-    r = layered_root(a).value
-    num = abs(gf.num.eval(r))
-    den = abs(gf.den.eval(r))
-    if den < tol and num < tol:
-        raise AmbiguousPoleError(
-            f"both numerator ({num:.2e}) and denominator ({den:.2e}) vanish"
-        )
-    return "infinite" if den < tol else "finite"
+    den = avoid_gf_layered(tuple(partition)).den
+    return "infinite" if den.divmod(layered_denominator(a))[1].is_zero() else "finite"
 
 
 @dataclass(frozen=True)
@@ -311,7 +314,7 @@ class ZeroReport:
     root: float
     value_at_root: float
     higher: tuple[tuple[int, float, float], ...]  # (index, root, value)
-    zero_within_tol: bool
+    vanishes_at_root: bool
     higher_nonzero: bool
 
 
@@ -329,7 +332,6 @@ def product_form_vanishes_at(word: SumWord, n: int) -> bool:
 
 def zero_report(
     word: SumWord,
-    tol: float = 1e-6,
     span: int = 3,
     use_product_form: bool = False,
 ) -> ZeroReport:
@@ -338,12 +340,9 @@ def zero_report(
     letter and at the next few larger indices.  The word must contain a run
     letter of index at least 2.
 
-    The values are floats and the flags zero_within_tol and higher_nonzero
-    compare them with tol, so both are approximate: with tol=1e-6 the exact
-    GF of a5 is reported zero_within_tol although its value there is about
-    -6.9e-8 and its numerator is coprime to the run-count polynomial.  For
-    an exact decision use product_form_vanishes_at, or test
-    poly_gcd(gf.num, reduced_lis_poly(n)) for a nontrivial factor.
+    The values are floats; the flags are exact.  The GF vanishes at the root
+    r_m when the gcd of its reduced numerator with the reduced run-count
+    polynomial of index m changes sign around r_m, as lis_root confirms it.
     """
     validate_element(ClassId.AV_312_321, word)
     run_indices = [-v for v in word if v < 0 and v <= -2]
@@ -351,6 +350,10 @@ def zero_report(
         raise PreconditionError("word has no run letter of index >= 2")
     n = max(run_indices)
     gf = involve_gf_product_form(word) if use_product_form else involve_gf_sum_word(word)
+
+    def vanishes(m: int, rm: float) -> bool:
+        return _changes_sign_around(poly_gcd(gf.num, reduced_lis_poly(m)), rm)
+
     rn = lis_root(n).value
     value = float(gf.eval(rn))
     higher = []
@@ -363,8 +366,8 @@ def zero_report(
         root=rn,
         value_at_root=value,
         higher=tuple(higher),
-        zero_within_tol=abs(value) < tol,
-        higher_nonzero=all(abs(v) > tol for _, _, v in higher),
+        vanishes_at_root=vanishes(n, rn),
+        higher_nonzero=not any(vanishes(m, rm) for m, rm, _ in higher),
     )
 
 

@@ -98,10 +98,6 @@ def involves(pattern: Perm, target: Perm) -> bool:
     return extend(0, 0)
 
 
-def avoids(pattern: Perm, target: Perm) -> bool:
-    return not involves(pattern, target)
-
-
 # ---------------------------------------------------------------------------
 # Symmetries
 
@@ -213,39 +209,3 @@ def direct_sum_all(components: Iterable[Perm]) -> Perm:
     for c in components:
         result = direct_sum(result, c)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Greedy involvement on words over sum-indecomposable letters
-
-def greedy_word_involves(
-    pattern: Sequence,
-    target: Sequence,
-    prefix_in_letter: Callable[[tuple, object], bool],
-) -> bool:
-    """
-    Generic left-to-right involvement test for words over an alphabet of
-    sum-indecomposable letters.
-
-    ``prefix_in_letter(prefix, letter)`` must decide whether the word
-    ``prefix`` is involved in the single ``letter``, and must be monotone:
-    extending the prefix can only lose involvement.  The scan embeds the head
-    of the pattern into the first feasible letter of the target, absorbs the
-    longest possible pattern prefix into that letter, and continues to the
-    right.  This computes exactly the word-involvement relation whenever a
-    single pattern letter can never straddle two target letters.
-    """
-    pattern = tuple(pattern)
-    wi = 0
-    k = len(pattern)
-    for letter in target:
-        if wi == k:
-            break
-        if prefix_in_letter(pattern[wi : wi + 1], letter):
-            length = 1
-            while wi + length < k and prefix_in_letter(
-                pattern[wi : wi + length + 1], letter
-            ):
-                length += 1
-            wi += length
-    return wi == k

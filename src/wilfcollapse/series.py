@@ -1,6 +1,6 @@
 """
-Exact univariate polynomial, rational function, and truncated series
-arithmetic over arbitrary-precision rationals.
+Exact univariate polynomial and rational function arithmetic over
+arbitrary-precision rationals, with truncated series expansion.
 
 Coefficient equality tests elsewhere in the package must be exact, so every
 coefficient is a Fraction; floating point appears only when a caller
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .errors import OrderMismatchError, PoleError
+from .errors import PoleError
 
 Scalar = Union[int, Fraction]
 
@@ -210,6 +210,8 @@ class RationalGF:
 
     def expand(self, order: int) -> "TruncSeries":
         """Series expansion to the given order, by long division."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
         coeffs = []
         den = self.den.coeffs
         for n in range(order + 1):
@@ -232,72 +234,13 @@ class RationalGF:
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """Series truncated at a fixed order; arithmetic is exact below it."""
+    """The coefficients of a power series up to and including t**order."""
 
     coeffs: tuple[Fraction, ...]
     order: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("need exactly order + 1 coefficients")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-
-    @classmethod
-    def of(cls, values: Iterable[Scalar]) -> "TruncSeries":
-        coeffs = tuple(Fraction(v) for v in values)
-        return cls(coeffs, len(coeffs) - 1)
-
-    def _check(self, other: "TruncSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(self.order + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
-        return TruncSeries(tuple(out), self.order)
-
-    def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        if other.coeffs[0] == 0:
-            raise PoleError("division by a series with zero constant term")
-        out: list[Fraction] = []
-        for n in range(self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n + 1):
-                acc -= other.coeffs[k] * out[n - k]
-            out.append(acc / other.coeffs[0])
-        return TruncSeries(tuple(out), self.order)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise OrderMismatchError(f"cannot extend order {self.order} to {order}")
-        return TruncSeries(self.coeffs[: order + 1], order)
 
     def integers(self) -> tuple[int, ...]:
         """Coefficients as ints; raises if any is not integral."""
         if any(c.denominator != 1 for c in self.coeffs):
             raise ValueError("series has non-integer coefficients")
         return tuple(int(c) for c in self.coeffs)
-
-    def partial_sum(self, x: float) -> float:
-        return sum(float(c) * x**k for k, c in enumerate(self.coeffs))

@@ -18,8 +18,9 @@ from wilfcollapse.canonical import (
     valid_pairs,
     wedge_bijection,
 )
-from wilfcollapse.encodings import ClassId, avoiding_elements, generate
+from wilfcollapse.encodings import ClassId, avoiding_elements, generate, to_permutation
 from wilfcollapse.errors import CapExceededError, NotInvolvedError, PreconditionError
+from wilfcollapse.perms import involves
 
 C3 = ClassId.AV_312_231
 C4 = ClassId.AV_312_321
@@ -112,25 +113,38 @@ def test_greedy_factorize_examples():
         greedy_factorize(C3, (1, 1), (2,), (2,))
 
 
-def test_greedy_factorize_minimality_brute():
-    # the returned prefix is the shortest prefix involving P, likewise suffix
-    from wilfcollapse.encodings import class_leq
+FACTORIZATION_CASES = {
+    C3: (6, [(1,), (2,), (1, 1), (2, 1)]),
+    C4: (7, [(-1,), (-2,), (2,), (-1, 2)]),
+}
 
-    words = [w for n in range(7) for w in generate(C3, n)]
-    for w in words:
-        for P in [(1,), (2,), (1, 1), (2, 1)]:
-            for Q in [(1,), (2,)]:
+
+@pytest.mark.parametrize("cid", [C3, C4])
+def test_greedy_factorize_minimality_brute(cid):
+    # the returned prefix is the shortest prefix involving P, likewise the
+    # suffix; involvement is decided on decoded permutations
+    max_size, patterns = FACTORIZATION_CASES[cid]
+
+    def involved(pattern, word):
+        return involves(to_permutation(cid, pattern), to_permutation(cid, word))
+
+    for w in (w for n in range(max_size + 1) for w in generate(cid, n)):
+        for P in patterns:
+            for Q in patterns:
                 try:
-                    prefix, middle, suffix = greedy_factorize(C3, w, P, Q)
-                except (NotInvolvedError, PreconditionError):
+                    prefix, middle, suffix = greedy_factorize(cid, w, P, Q)
+                except NotInvolvedError:
+                    assert not (involved(P, w) and involved(Q, w))
+                    continue
+                except PreconditionError:
                     continue
                 assert prefix + middle + suffix == w
-                assert class_leq(C3, P, prefix)
-                assert class_leq(C3, Q, suffix)
+                assert involved(P, prefix)
+                assert involved(Q, suffix)
                 for cut in range(len(prefix)):
-                    assert not class_leq(C3, P, w[:cut])
+                    assert not involved(P, w[:cut])
                 for cut in range(len(suffix)):
-                    assert not class_leq(C3, Q, w[len(w) - cut :])
+                    assert not involved(Q, w[len(w) - cut :])
 
 
 def test_greedy_factorize_sum_words():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wilfcollapse.cli import run
 
 
@@ -43,7 +45,7 @@ def test_canon_rejects_malformed_element(capsys):
 
 
 def test_roots_table(capsys):
-    code = run(["roots", "--family", "q", "--max-n", "3", "--tol", "1e-12"])
+    code = run(["roots", "--family", "q", "--max-n", "3"])
     out, _ = capture(capsys)
     assert code == 0
     lines = out.splitlines()
@@ -75,6 +77,24 @@ def test_verify_ok_and_usage_error(capsys):
     capture(capsys)
     assert run(["nonsense"]) == 2
     capture(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--class", "c3", "--n", "-1"],
+        ["verify", "--class", "c4", "--n", "3", "--depth", "-1"],
+        ["gf", "--class", "c3", "--pattern", "2", "--expand", "-3"],
+        ["report", "--class", "c3", "--max-n", "0"],
+        ["roots", "--family", "q", "--max-n", "0"],
+        ["roots", "--family", "layered", "--max-n", "5", "--tol", "0"],
+    ],
+)
+def test_out_of_domain_arguments_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    out, err = capture(capsys)
+    assert out == ""
+    assert err.startswith("usage:") and "Traceback" not in err
 
 
 def test_determinism(capsys):

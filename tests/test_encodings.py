@@ -17,7 +17,7 @@ from wilfcollapse.encodings import (
     validate_element,
 )
 from wilfcollapse.errors import BasisViolationError, ParseError
-from wilfcollapse.perms import greedy_word_involves, involves
+from wilfcollapse.perms import involves
 
 ALL_CLASSES = list(ClassId)
 
@@ -106,23 +106,6 @@ def test_class_leq_examples():
     for cid in ALL_CLASSES:
         for e in generate(cid, 5):
             assert class_leq(cid, e, e)
-
-
-def test_adapted_matcher_needed_for_spread_runs():
-    # the generic single-letter greedy scan cannot see a run spread over
-    # two letters; the class order test can
-    def letter_prefix(prefix, letter):
-        if len(prefix) > 1:
-            return False
-        if not prefix:
-            return True
-        return involves(
-            to_permutation(ClassId.AV_312_321, tuple(prefix)),
-            to_permutation(ClassId.AV_312_321, (letter,)),
-        )
-
-    assert not greedy_word_involves((-3,), (2, 3), letter_prefix)
-    assert class_leq(ClassId.AV_312_321, (-3,), (2, 3))
 
 
 def test_size_of():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +170,20 @@ def test_lis_roots():
         lis_root(0)
 
 
+def test_lis_roots_beyond_150():
+    # from n = 151 on the two roots nearest 0 lie within 1/1024 of 0, where a
+    # coarse sign-change scan misses both; each value must bracket a zero
+    values = {n: lis_root(n).value for n in range(2, 201)}
+    assert all(values[n] < values[n + 1] for n in range(2, 200))
+    for n in (151, 160, 200):
+        assert abs(values[n] + 4 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2) < 1e-12
+        x = Fraction(values[n])
+        poly = reduced_lis_poly(n)
+        assert (poly.eval(x * Fraction(999999, 10**6)) > 0) != (
+            poly.eval(x * Fraction(1000001, 10**6)) > 0
+        ), n
+
+
 def test_layered_roots():
     assert layered_root(2).value == 1.0
     assert abs(layered_root(3).value - (math.sqrt(5) - 1) / 2) < 1e-9
@@ -195,16 +210,22 @@ def test_classify_pole_examples():
 def test_zero_report_mechanics():
     with pytest.raises(PreconditionError):
         zero_report((2, -1))  # no run letter of index >= 2
-    report = zero_report((-2,), tol=1e-6)
+    report = zero_report((-2,))
     assert report.run_index == 2
     assert report.higher_nonzero
     # the exact involvement GF does not vanish at the root; the claimed
     # vanishing holds only for the diagnostic product form
-    assert not report.zero_within_tol
+    assert not report.vanishes_at_root
     assert abs(report.value_at_root - 0.019525612840) < 1e-9
-    product_report = zero_report((-2,), tol=1e-6, use_product_form=True)
-    assert product_report.zero_within_tol
+    product_report = zero_report((-2,), use_product_form=True)
+    assert product_report.vanishes_at_root
     assert product_report.higher_nonzero
+    # values far below any float tolerance: about -6.9e-8 at r_5 for the
+    # exact form, and shrinking like r**size at the higher product roots
+    report = zero_report((-5,))
+    assert abs(report.value_at_root) < 1e-6 and not report.vanishes_at_root
+    product_report = zero_report((-5,), use_product_form=True)
+    assert product_report.vanishes_at_root and product_report.higher_nonzero
 
 
 def test_product_form_zero_pattern_across_words():

@@ -11,7 +11,6 @@ from wilfcollapse.perms import (
     direct_sum,
     direct_sum_all,
     format_perm,
-    greedy_word_involves,
     involves,
     is_permutation,
     parse_perm,
@@ -209,40 +208,3 @@ def test_sum_decompose_roundtrip_sampled(p):
     p = tuple(p)
     assert direct_sum_all(sum_decompose(p)) == p
 
-
-# ---------------------------------------------------------------------------
-# Greedy word involvement over composition letters
-
-def comp_prefix_in_letter(prefix, letter):
-    if len(prefix) > 1:
-        return False
-    return not prefix or prefix[0] <= letter
-
-
-def brute_domination(a, b):
-    return any(
-        all(a[j] <= b[i] for j, i in enumerate(idx))
-        for idx in itertools.combinations(range(len(b)), len(a))
-    )
-
-
-def compositions(n):
-    if n == 0:
-        return [()]
-    return [(k,) + rest for k in range(1, n + 1) for rest in compositions(n - k)]
-
-
-def test_greedy_word_involves_reflexive_and_example():
-    assert greedy_word_involves((1, 2), (2, 1, 3), comp_prefix_in_letter)
-    for c in compositions(4):
-        assert greedy_word_involves(c, c, comp_prefix_in_letter)
-
-
-def test_greedy_word_involves_matches_domination():
-    pool = [c for n in range(6) for c in compositions(n)]
-    for a in pool:
-        for b in pool:
-            if sum(a) + sum(b) <= 10:
-                assert greedy_word_involves(a, b, comp_prefix_in_letter) == (
-                    brute_domination(a, b)
-                ), (a, b)

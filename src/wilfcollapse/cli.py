@@ -92,9 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print series coefficients up to order N")
 
     p = sub.add_parser("roots", help="table of separating real roots")
-    p.add_argument("--config", help="flat key=value file of option defaults")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", help="write output to this path instead of stdout")
+    add_common(p, with_class=False)
     p.add_argument("--family", choices=["q", "layered"], required=True)
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
@@ -107,6 +105,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
     return parser
+
+
+def _check_depth(parser: argparse.ArgumentParser, args) -> None:
+    """
+    Reject a --depth that cannot separate patterns of the given size n: every
+    member below size n avoids a size-n pattern and at size n all but the
+    pattern itself do, so to depth n all size-n patterns share their counts.
+    """
+    if getattr(args, "depth", None) is None:
+        return
+    size = args.max_n if args.command == "report" else args.n
+    if size >= 2 and args.depth <= size:
+        flag = "--max-n" if args.command == "report" else "--n"
+        parser.error(f"--depth {args.depth} must exceed {flag} {size} to separate patterns")
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -295,6 +307,7 @@ def run(argv: list[str]) -> int:
         return 2
     try:
         args = parser.parse_args(argv)
+        _check_depth(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

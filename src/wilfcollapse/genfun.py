@@ -8,15 +8,23 @@ a pattern starting with layer a either uses layers below a throughout, or
 uses layers below a, then one layer of size at least a, then a tail avoiding
 the rest of the pattern.
 
+The sum words with longest increasing subsequence exactly n are counted by
+L_n = t^n b_n(t), where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
+polynomial; b_n = (2+t) b_(n-1) - b_(n-2) is the three-term recursion of
+the run counts divided by t^n, and b_n is (-1)^n U_2n under x^2 = -t/4, the
+Chebyshev identity checked below.
+
 The sum-word involvement recursion peels the leading letter.  Peeling a drop
 letter b_j is exact for any tail.  Peeling a run letter a_i uses the minimal
 prefix hosting an increasing run of length i; the letter after that prefix
 may not fuse with it, so the prefix generating function is split by the type
-of its final letter before multiplying.  The naive product form, which skips
-that split, is also provided: it factors through the run-count polynomials
-and therefore vanishes at their roots, but its expansion differs from the
-exact, brute-force-checked counts (already for the single letter a2) and it
-is kept for diagnosis only.
+of its final letter before multiplying: t L_(i-1)/(1-t) for a final run
+letter, since removing one point of that run leaves any word whose longest
+increasing subsequence is i-1, and (L_i - t L_(i-1))/(1-t) for a final drop
+letter.  The naive product form, which skips that split, is also provided:
+it factors through the run-count polynomials and therefore vanishes at their
+roots, but its expansion differs from the exact, brute-force-checked counts
+(already for the single letter a2) and it is kept for diagnosis only.
 """
 from __future__ import annotations
 
@@ -31,7 +39,6 @@ from .series import ONE, Poly, RationalGF, T, poly_gcd
 
 _ONE_GF = RationalGF.of(ONE)
 _ONE_MINUS_T = Poly.of(1, -1)
-_GEOM = RationalGF(ONE, _ONE_MINUS_T)  # 1/(1-t)
 
 
 @lru_cache(maxsize=None)
@@ -68,29 +75,23 @@ def avoid_gf_layered(pattern: Composition) -> RationalGF:
 # Polynomials counting sum words by longest increasing run
 
 @lru_cache(maxsize=None)
-def lis_count_poly(n: int) -> Poly:
+def reduced_lis_poly(n: int) -> Poly:
     """
-    Generating polynomial of the class members whose longest increasing
-    subsequence has length exactly n.
+    lis_count_poly(n) divided by t**n: the Morgan-Voyce polynomial
+    b_n(t) = sum_k C(n+k, 2k) t^k, of degree n with constant term 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return ONE
-    if n == 1:
-        return Poly.of(0, 1, 1)
-    step = Poly.of(0, 2, 1)
-    tsq = Poly.monomial(2)
-    return step * lis_count_poly(n - 1) - tsq * lis_count_poly(n - 2)
+    return Poly(tuple(math.comb(n + k, 2 * k) for k in range(n + 1)))
 
 
 @lru_cache(maxsize=None)
-def reduced_lis_poly(n: int) -> Poly:
-    """lis_count_poly(n) divided by t**n; degree n with constant term 1."""
-    p = lis_count_poly(n)
-    quot, rem = p.divmod(Poly.monomial(n))
-    assert rem.is_zero(), "lowest power of the run-count polynomial is n"
-    return quot
+def lis_count_poly(n: int) -> Poly:
+    """
+    Generating polynomial of the class members whose longest increasing
+    subsequence has length exactly n: t**n * reduced_lis_poly(n).
+    """
+    return reduced_lis_poly(n).shift(n)
 
 
 # ---------------------------------------------------------------------------
@@ -113,45 +114,28 @@ def _letters_gf(j: int) -> RationalGF:
     return RationalGF(Poly.monomial(j), _ONE_MINUS_T)
 
 
-def _bounded_words(cap_max: int):
-    """
-    All valid sum words with total increasing-run capacity at most cap_max,
-    as (size, capacity, last_letter_sign) triples.  Finite, since every
-    letter contributes capacity.
-    """
-    out = [(0, 0, 0)]
-    frontier = [(0, 0, 0)]
-    while frontier:
-        nxt = []
-        for size, cap, last in frontier:
-            if last >= 0:
-                for k in range(1, cap_max - cap + 1):
-                    nxt.append((size + k, cap + k, -1))
-            for j in range(2, cap_max - cap + 2):
-                nxt.append((size + j, cap + j - 1, 1))
-        out += nxt
-        frontier = nxt
-    return out
-
-
 @lru_cache(maxsize=None)
 def _run_prefix_gfs(i: int) -> tuple[RationalGF, RationalGF]:
     """
     Generating functions of the minimal prefixes hosting an increasing run
-    of length i, split by the type of their final letter (run, drop).  Their
-    sum is lis_count_poly(i)/(1-t).
+    of length i, split by the type of their final letter (run, drop):
+    t*L_(i-1)/(1-t) and (L_i - t*L_(i-1))/(1-t), with L = lis_count_poly.
+
+    The longest increasing subsequence of a sum word is the sum of its
+    letter capacities (k for a run letter of size k, j-1 for a drop letter
+    of size j), so a minimal prefix is a word whose capacity first reaches i
+    at its last letter.  Cutting that letter to the least size that reaches i
+    leaves a word of capacity exactly i; the factor 1/(1-t) gives the cut
+    points back.  The cut prefixes ending in a drop letter are the words of
+    capacity i ending in a drop letter.  Those ending in a run letter map
+    one-to-one onto all words of capacity i-1 by removing one point of the
+    final run (the letter itself if it has size 1); that point is the
+    factor t.  The two numerators therefore sum to L_i.
     """
-    ends_run = Poly(())
-    ends_drop = Poly(())
-    for size, cap, last in _bounded_words(i - 1):
-        if last >= 0:
-            # only words not ending in a run letter may precede the final run
-            ends_run = ends_run + Poly.monomial(size + (i - cap))
-        ends_drop = ends_drop + Poly.monomial(size + max(2, i + 1 - cap))
-    geom = _GEOM
+    shifted = lis_count_poly(i - 1).shift(1)
     return (
-        RationalGF(ends_run, ONE) * geom,
-        RationalGF(ends_drop, ONE) * geom,
+        RationalGF(shifted, _ONE_MINUS_T),
+        RationalGF(lis_count_poly(i) - shifted, _ONE_MINUS_T),
     )
 
 

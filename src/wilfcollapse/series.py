@@ -149,7 +149,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RationalGF:
     """
     Quotient of two polynomials with nonzero denominator constant term.
@@ -199,14 +199,6 @@ class RationalGF:
         if other.num.coefficient(0) == 0:
             raise PoleError("divisor has a zero constant term; no series quotient")
         return RationalGF(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def expand(self, order: int) -> "TruncSeries":
         """Series expansion to the given order, by long division."""

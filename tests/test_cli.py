@@ -77,6 +77,9 @@ def test_verify_ok_and_usage_error(capsys):
     capture(capsys)
     assert run(["nonsense"]) == 2
     capture(capsys)
+    # sizes 0 and 1 have one pattern each, so any depth is accepted
+    assert run(["classify", "--class", "c3", "--n", "1", "--depth", "0"]) == 0
+    capture(capsys)
 
 
 @pytest.mark.parametrize(
@@ -88,6 +91,11 @@ def test_verify_ok_and_usage_error(capsys):
         ["report", "--class", "c3", "--max-n", "0"],
         ["roots", "--family", "q", "--max-n", "0"],
         ["roots", "--family", "layered", "--max-n", "5", "--tol", "0"],
+        # a depth up to the pattern size gives every pattern the same counts
+        ["verify", "--class", "c1", "--n", "2", "--depth", "0"],
+        ["verify", "--class", "c1", "--n", "2", "--depth", "2"],
+        ["classify", "--class", "c3", "--n", "4", "--depth", "4"],
+        ["report", "--class", "c3", "--max-n", "4", "--depth", "4"],
     ],
 )
 def test_out_of_domain_arguments_are_usage_errors(argv, capsys):

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from wilfcollapse.canonical import shortest_prefix_end
 from wilfcollapse.encodings import ClassId, generate, leq_function, to_permutation
 from wilfcollapse.errors import PreconditionError
 from wilfcollapse.genfun import (
+    _run_prefix_gfs,
     avoid_gf_layered,
     avoid_gf_sum_word,
     chebyshev_identity_holds,
@@ -148,6 +150,27 @@ def test_lis_poly_counts_by_longest_run(n):
         assert poly.coefficient(m) == counts.get(m, 0), (n, m)
 
 
+def test_lis_poly_cold_cache_large_index():
+    # the closed form has no recursion depth: a cold index 1000 works
+    lis_count_poly.cache_clear()
+    reduced_lis_poly.cache_clear()
+    poly = lis_count_poly(1000)
+    assert poly.degree == 2000 and poly.coefficient(1000) == 1
+    assert poly.coefficient(1001) == math.comb(1001, 2)
+    assert -1e-5 < lis_root(1000).value < 0
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_run_prefix_gfs_count_minimal_prefixes(i):
+    # coefficient m of each part counts the size-m words that are their own
+    # shortest prefix involving a_i, split by the sign of the last letter
+    ends_run, ends_drop = (gf.expand(12).coeffs for gf in _run_prefix_gfs(i))
+    for m in range(13):
+        minimal = [w for w in generate(C4, m) if shortest_prefix_end(C4, w, (-i,)) == len(w)]
+        assert ends_run[m] == sum(1 for w in minimal if w[-1] < 0), (i, m)
+        assert ends_drop[m] == sum(1 for w in minimal if w[-1] > 0), (i, m)
+
+
 def test_lis_poly_degree_window():
     for n in range(1, 9):
         p = lis_count_poly(n)
@@ -251,5 +274,5 @@ def test_drop_words_nonzero_at_roots():
 def test_chebyshev_identity():
     assert chebyshev_identity_holds(0)
     assert chebyshev_identity_holds(1)
-    for n in range(2, 11):
+    for n in (*range(2, 11), 151, 200):
         assert chebyshev_identity_holds(n), n

@@ -68,6 +68,17 @@ def test_rational_arithmetic_and_equality():
         half / RationalGF.of(0)
 
 
+nonzero_at_0 = small_polys.filter(lambda p: p.coefficient(0) != 0)
+
+
+@given(small_polys, nonzero_at_0, nonzero_at_0)
+def test_rational_normal_form_is_unique(a, b, c):
+    # equality and hashing compare the stored fields, so a common factor
+    # must normalise away
+    f, g = RationalGF(a * c, b * c), RationalGF(a, b)
+    assert f == g and hash(f) == hash(g)
+
+
 def test_expand_geometric():
     f = RationalGF(ONE, Poly.of(1, -2))
     assert f.expand(4).integers() == (1, 2, 4, 8, 16)

@@ -26,6 +26,8 @@ from .canonical import (
 )
 from .encodings import ClassId, format_element, generate, parse_element, to_permutation
 from .engine import (
+    MAX_DEPTH,
+    MAX_PATTERN_SIZE,
     collapse_csv,
     collapse_rows,
     gf_crosscheck,
@@ -62,9 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, with_class=True, with_n=False, with_depth=False):
+    def add_common(p, *, with_format, with_class=True, with_n=False, with_depth=False):
         p.add_argument("--config", help="flat key=value file of option defaults")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        if with_format:
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="write output to this path instead of stdout")
         if with_class:
             p.add_argument("--class", dest="class_id", required=True,
@@ -75,49 +78,53 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=_at_least(0), default=16)
 
     p = sub.add_parser("enumerate", help="list all class members of one size")
-    add_common(p, with_n=True)
+    add_common(p, with_format=True, with_n=True)
 
     p = sub.add_parser("classify",
                        help="group size-n patterns by their avoider counting sequences")
-    add_common(p, with_n=True, with_depth=True)
+    add_common(p, with_format=True, with_n=True, with_depth=True)
 
     p = sub.add_parser("canon", help="canonical form of a layered or sum-word pattern")
-    add_common(p)
+    add_common(p, with_format=False)
     p.add_argument("--element", required=True)
 
     p = sub.add_parser("gf", help="avoidance generating function of a pattern")
-    add_common(p)
+    add_common(p, with_format=False)
     p.add_argument("--pattern", required=True)
     p.add_argument("--expand", type=_at_least(0), default=None, metavar="N",
                    help="also print series coefficients up to order N")
 
     p = sub.add_parser("roots", help="table of separating real roots")
-    add_common(p, with_class=False)
+    add_common(p, with_class=False, with_format=True)
     p.add_argument("--family", choices=["q", "layered"], required=True)
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
     p = sub.add_parser("verify",
                        help="check the canonical grouping against brute force")
-    add_common(p, with_n=True, with_depth=True)
+    add_common(p, with_format=False, with_n=True, with_depth=True)
 
     p = sub.add_parser("report", help="collapse table n, c_n, w_n, canonical count")
-    add_common(p, with_depth=True)
+    add_common(p, with_format=True, with_depth=True)
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
     return parser
 
 
-def _check_depth(parser: argparse.ArgumentParser, args) -> None:
+def _check_size_and_depth(parser: argparse.ArgumentParser, args) -> None:
     """
-    Reject a --depth that cannot separate patterns of the given size n: every
-    member below size n avoids a size-n pattern and at size n all but the
-    pattern itself do, so to depth n all size-n patterns share their counts.
+    Reject a pattern size or --depth above the brute-force budget, and a
+    --depth that cannot separate patterns of the given size n: every member
+    below size n avoids a size-n pattern and at size n all but the pattern
+    itself do, so to depth n all size-n patterns share their counts.
     """
     if getattr(args, "depth", None) is None:
         return
-    size = args.max_n if args.command == "report" else args.n
+    flag, size = ("--max-n", args.max_n) if args.command == "report" else ("--n", args.n)
+    if size > MAX_PATTERN_SIZE:
+        parser.error(f"{flag} {size} above the brute-force budget {MAX_PATTERN_SIZE}")
+    if args.depth > MAX_DEPTH:
+        parser.error(f"--depth {args.depth} above the brute-force budget {MAX_DEPTH}")
     if size >= 2 and args.depth <= size:
-        flag = "--max-n" if args.command == "report" else "--n"
         parser.error(f"--depth {args.depth} must exceed {flag} {size} to separate patterns")
 
 
@@ -307,7 +314,7 @@ def run(argv: list[str]) -> int:
         return 2
     try:
         args = parser.parse_args(argv)
-        _check_depth(parser, args)
+        _check_size_and_depth(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -368,13 +368,9 @@ def chebyshev_identity_holds(n: int) -> bool:
     if n < 0:
         raise ValueError("n must be non-negative")
     # With x^2 = -t/4: U_{2k}(x) is a polynomial even(t) and U_{2k+1}(x) is
-    # x * odd(t); the Chebyshev recurrence becomes the two steps below.
-    even = ONE
-    odd = Poly.of(2)
-    for m in range(2, 2 * n + 1):
-        if m % 2 == 0:
-            even = odd.shift(1).scale(Fraction(-1, 2)) - even
-        else:
-            odd = even.scale(2) - odd
-    expected = even.scale((-1) ** n)
-    return reduced_lis_poly(n) == expected
+    # 2x * odd(t); the Chebyshev recurrence becomes the two steps below.
+    even = odd = ONE
+    for _ in range(n):
+        even = -odd.shift(1) - even
+        odd = even - odd
+    return reduced_lis_poly(n) == even.scale((-1) ** n)

@@ -1,48 +1,42 @@
 """
-Exact univariate polynomial and rational function arithmetic over
-arbitrary-precision rationals, with truncated series expansion.
-
-Coefficient equality tests elsewhere in the package must be exact, so every
-coefficient is a Fraction; floating point appears only when a caller
-evaluates at a real point.  Rational functions are kept normalized: common
-polynomial factors are removed by a Euclidean gcd and the denominator is
-scaled to constant term 1, which both guarantees a series expansion exists
-and makes pole detection meaningful.
+Exact polynomials over the integers, rational functions as their quotients,
+and truncated series expansion.  Every division is exact; rationals appear
+only at a rational evaluation point or in the expansion of a non-integral
+series, floating point only at a real evaluation point.  A rational function
+is stored reduced: divided by the primitive gcd of numerator and denominator
+(Knuth, TAOCP vol. 2, 4.6.1), then by their common content, signed so that
+den(0) > 0.  This form is unique, has a series expansion, makes pole tests
+meaningful, and has den(0) == 1 whenever the series has integer coefficients.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import PoleError
-
-Scalar = Union[int, Fraction]
-
-
-def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    last = len(coeffs)
-    while last > 0 and coeffs[last - 1] == 0:
-        last -= 1
-    return tuple(coeffs[:last])
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense polynomial in t; coeffs[k] is the coefficient of t**k."""
+    """Dense polynomial in t over the integers; coeffs[k] is the coefficient of t**k."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in self.coeffs]))
+        coeffs = [operator.index(c) for c in self.coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
-    def of(cls, *coeffs: Scalar) -> "Poly":
-        return cls(tuple(Fraction(c) for c in coeffs))
+    def of(cls, *coeffs: int) -> "Poly":
+        return cls(coeffs)
 
     @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "Poly":
-        return cls((Fraction(0),) * power + (Fraction(coeff),))
+    def monomial(cls, power: int, coeff: int = 1) -> "Poly":
+        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -52,20 +46,16 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coefficient(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        return Poly(tuple(self.coefficient(k) + other.coefficient(k) for k in range(n)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            tuple(self.coefficient(k) - other.coefficient(k) for k in range(n))
-        )
+        return Poly(tuple(self.coefficient(k) - other.coefficient(k) for k in range(n)))
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -73,32 +63,34 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Poly(tuple(out))
 
-    def scale(self, factor: Scalar) -> "Poly":
-        f = Fraction(factor)
-        return Poly(tuple(c * f for c in self.coeffs))
+    def scale(self, factor: int) -> "Poly":
+        return Poly(tuple(c * factor for c in self.coeffs))
 
     def shift(self, power: int) -> "Poly":
         """Multiply by t**power."""
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * power + self.coeffs)
+        return Poly((0,) * power + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Long division; raises ArithmeticError on a step that is not exact in integers."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.coeffs[-1]
         for k in range(len(rem) - 1, d - 1, -1):
-            factor = rem[k] / lead
+            factor, inexact = divmod(rem[k], lead)
+            if inexact:
+                raise ArithmeticError(f"{lead} does not divide {rem[k]}")
             if factor:
                 quot[k - d] = factor
                 for j, b in enumerate(other.coeffs):
@@ -106,17 +98,18 @@ class Poly:
         return Poly(tuple(quot)), Poly(tuple(rem))
 
     def eval(self, x):
-        """Horner evaluation; exact for Fraction input, float for float."""
-        acc = 0 if isinstance(x, (int, Fraction)) else 0.0
-        scale = (lambda c: c) if isinstance(x, (int, Fraction)) else float
+        """Horner evaluation: exact at an int or rational x, a float at a float x."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + scale(c)
+            acc = acc * x + c
         return acc
 
-    def monic(self) -> "Poly":
+    def primitive(self) -> "Poly":
+        """Divided by the gcd of its coefficients, with a positive leading coefficient."""
         if self.is_zero():
             return self
-        return self.scale(1 / self.coeffs[-1])
+        content = math.gcd(*self.coeffs)
+        return self.divmod(Poly.of(content if self.coeffs[-1] > 0 else -content))[0]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -138,24 +131,32 @@ class Poly:
         return " + ".join(pieces).replace("+ -", "- ")
 
 
-ZERO = Poly(())
 ONE = Poly.of(1)
 T = Poly.of(0, 1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """
+    Primitive gcd, leading coefficient positive, by primitive pseudo-remainders.
+
+    >>> poly_gcd(Poly.of(-1, 0, 1), Poly.of(2, 2))
+    Poly(coeffs=(1, 1))
+    """
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+        a = a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0))
+        a, b = b, a.divmod(b)[1].primitive()
+    return a.primitive()
 
 
 @dataclass(frozen=True)
 class RationalGF:
     """
-    Quotient of two polynomials with nonzero denominator constant term.
+    Quotient of two integer polynomials with nonzero denominator constant
+    term, stored in the module docstring's reduced form: equal functions have
+    equal fields.
 
-    Always stored in reduced form with den(0) == 1, so the power-series
-    expansion exists and equality of functions is equality of fields.
+    >>> print(RationalGF(Poly.of(0, 2), Poly.of(2, -2)))
+    num = t; den = 1 - t
     """
 
     num: Poly
@@ -165,21 +166,17 @@ class RationalGF:
         num, den = self.num, self.den
         if den.is_zero() or den.coefficient(0) == 0:
             raise ZeroDivisionError("denominator must have nonzero constant term")
+        # a primitive factor divides out without changing the content (Gauss)
         g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        c = den.coefficient(0)
-        object.__setattr__(self, "num", num.scale(1 / c))
-        object.__setattr__(self, "den", den.scale(1 / c))
+        sign = 1 if den.coeffs[0] * g.coeffs[0] > 0 else -1
+        g = g.scale(sign * math.gcd(*num.coeffs, *den.coeffs))
+        object.__setattr__(self, "num", num.divmod(g)[0])
+        object.__setattr__(self, "den", den.divmod(g)[0])
 
     @classmethod
-    def of(cls, num: Poly | Scalar, den: Poly | Scalar = 1) -> "RationalGF":
-        if not isinstance(num, Poly):
-            num = Poly.of(num)
-        if not isinstance(den, Poly):
-            den = Poly.of(den)
-        return cls(num, den)
+    def of(cls, num: Poly | int) -> "RationalGF":
+        """A polynomial or an integer as a rational function."""
+        return cls(num if isinstance(num, Poly) else Poly.of(num), ONE)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
         return RationalGF(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -210,11 +207,11 @@ class RationalGF:
             acc = self.num.coefficient(n)
             for k in range(1, min(n, len(den) - 1) + 1):
                 acc -= den[k] * coeffs[n - k]
-            coeffs.append(acc)
+            coeffs.append(acc if den[0] == 1 else Fraction(acc, den[0]))
         return TruncSeries(tuple(coeffs), order)
 
     def eval(self, x):
-        """Evaluate at a point; raises PoleError on a denominator zero."""
+        """Value at x, raising PoleError at a pole; exact at a non-integer rational x."""
         den = self.den.eval(x)
         if den == 0:
             raise PoleError(f"pole at {x!r}")
@@ -228,7 +225,7 @@ class RationalGF:
 class TruncSeries:
     """The coefficients of a power series up to and including t**order."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     order: int
 
     def integers(self) -> tuple[int, ...]:

@@ -96,6 +96,14 @@ def test_verify_ok_and_usage_error(capsys):
         ["verify", "--class", "c1", "--n", "2", "--depth", "2"],
         ["classify", "--class", "c3", "--n", "4", "--depth", "4"],
         ["report", "--class", "c3", "--max-n", "4", "--depth", "4"],
+        # sizes and depths above the brute-force budget
+        ["classify", "--class", "c2", "--n", "9", "--depth", "16"],
+        ["classify", "--class", "c2", "--n", "3", "--depth", "19"],
+        ["report", "--class", "c3", "--max-n", "9", "--depth", "12"],
+        # --format only where the output honours it
+        ["gf", "--class", "c3", "--pattern", "2", "--format", "json"],
+        ["canon", "--class", "c4", "--element", "a1 b3 a1", "--format", "json"],
+        ["verify", "--class", "c4", "--n", "3", "--depth", "10", "--format", "json"],
     ],
 )
 def test_out_of_domain_arguments_are_usage_errors(argv, capsys):

@@ -70,6 +70,14 @@ def test_avoid_gf_sum_word_matches_brute_force(n):
         assert expansion == brute_avoider_counts(C4, pattern, 12), pattern
 
 
+def test_avoidance_gfs_have_int_coefficients():
+    gfs = [avoid_gf_layered(p) for n in range(8) for p in generate(C3, n)]
+    gfs += [avoid_gf_sum_word(w) for n in range(7) for w in generate(C4, n)]
+    for gf in gfs:
+        coeffs = gf.num.coeffs + gf.den.coeffs + gf.expand(12).coeffs
+        assert all(type(c) is int for c in coeffs), gf
+
+
 def test_involve_gf_base_case():
     assert involve_gf_sum_word(()) == class_gf(C4)
 

@@ -33,6 +33,26 @@ def test_poly_divmod_and_gcd():
     assert q * Poly.of(1, 1) + r == Poly.of(1, 0, 1)
 
 
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+
+
+@given(small_polys, nonzero_polys, nonzero_polys)
+def test_poly_gcd_is_primitive_and_exact(a, b, c):
+    g = poly_gcd(a * c, b * c)
+    assert (a * c).divmod(g)[1].is_zero() and (b * c).divmod(g)[1].is_zero()
+    assert g.primitive() == g and g.coeffs[-1] > 0
+    assert g.divmod(c.primitive())[1].is_zero()
+
+
+def test_poly_coefficients_are_integers():
+    with pytest.raises(TypeError):
+        Poly.of(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Poly.of(0.5)
+    with pytest.raises(ArithmeticError):
+        Poly.of(0, 1).divmod(Poly.of(2))
+
+
 def test_poly_eval():
     p = Poly.of(1, -3, 1)
     assert p.eval(Fraction(1, 2)) == Fraction(-1, 4)
@@ -84,6 +104,18 @@ def test_expand_geometric():
     assert f.expand(4).integers() == (1, 2, 4, 8, 16)
     with pytest.raises(ValueError):
         f.expand(-1)
+
+
+def test_expand_non_integral_series():
+    # 1/(2 - t) is stored as it stands and expands in Fractions
+    f = RationalGF(ONE, Poly.of(2, -1))
+    assert f.num == ONE and f.den == Poly.of(2, -1)
+    coeffs = f.expand(3).coeffs
+    assert coeffs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
+    assert all(type(c) is Fraction for c in coeffs)
+    assert f == RationalGF(Poly.of(3), Poly.of(6, -3))
+    with pytest.raises(ValueError):
+        f.expand(3).integers()
 
 
 def test_expand_class_gf():

@@ -38,10 +38,8 @@ from .encodings import (
     parse_element,
     size_of,
     to_permutation,
-    triple_covers,
 )
 from .engine import (
-    AvoiderSequence,
     WilfReport,
     collapse_rows,
     count_avoiders,
@@ -51,8 +49,6 @@ from .engine import (
     wilf_classes,
 )
 from .genfun import (
-    RootValue,
-    ZeroReport,
     avoid_gf_layered,
     avoid_gf_sum_word,
     chebyshev_identity_holds,
@@ -66,7 +62,6 @@ from .genfun import (
     product_form_vanishes_at,
     reduced_lis_poly,
     special_pair_gfs,
-    zero_report,
 )
 from .perms import (
     Perm,

@@ -65,6 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *, with_format, with_class=True, with_n=False, with_depth=False):
+        # checks after parsing report their usage errors through this parser
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="flat key=value file of option defaults")
         if with_format:
             p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -110,13 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_size_and_depth(parser: argparse.ArgumentParser, args) -> None:
+def _check_size_and_depth(args) -> None:
     """
-    Reject a pattern size or --depth above the brute-force budget, and a
-    --depth that cannot separate patterns of the given size n: every member
-    below size n avoids a size-n pattern and at size n all but the pattern
-    itself do, so to depth n all size-n patterns share their counts.
+    Reject an enumerated size or --depth above MAX_DEPTH, a pattern size
+    above MAX_PATTERN_SIZE, and a --depth that cannot separate patterns of
+    the given size n: every member below size n avoids a size-n pattern and
+    at size n all but the pattern itself do, so to depth n all size-n
+    patterns share their counts.
     """
+    parser = args.parser
+    if args.command == "enumerate" and args.n > MAX_DEPTH:
+        parser.error(f"--n {args.n} above the brute-force budget {MAX_DEPTH}")
     if getattr(args, "depth", None) is None:
         return
     flag, size = ("--max-n", args.max_n) if args.command == "report" else ("--n", args.n)
@@ -233,12 +239,10 @@ def _cmd_roots(args) -> int:
     rows = []
     if args.family == "q":
         for n in range(1, args.max_n + 1):
-            root = lis_root(n)
-            rows.append([root.kind, n, f"{root.value:.15f}"])
+            rows.append(["lis", n, f"{lis_root(n):.15f}"])
     else:
         for a in range(2, args.max_n + 1):
-            root = layered_root(a)
-            rows.append([root.kind, a, f"{root.value:.15f}"])
+            rows.append(["layered", a, f"{layered_root(a):.15f}"])
     if args.format == "json":
         payload = [
             {"kind": kind, "index": index, "value": float(value)}
@@ -314,7 +318,7 @@ def run(argv: list[str]) -> int:
         return 2
     try:
         args = parser.parse_args(argv)
-        _check_size_and_depth(parser, args)
+        _check_size_and_depth(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -373,35 +373,6 @@ def sum_word_concat(x: SumWord, y: SumWord) -> SumWord:
 
 
 # ---------------------------------------------------------------------------
-# Cover relations for corner triples
-
-def triple_covers(
-    x: Triple,
-    n_cap: int,
-    avoiding: Triple | None = None,
-) -> tuple[Triple, ...]:
-    """
-    Minimal elements strictly above x, searched up to size n_cap.
-
-    When ``avoiding`` is given the poset is restricted to the members that
-    avoid it, where covers may skip sizes; n_cap bounds the search.
-    """
-    validate_element(ClassId.AV_312_123, x)
-    above = []
-    for m in range(size_of(ClassId.AV_312_123, x) + 1, n_cap + 1):
-        for e in generate(ClassId.AV_312_123, m):
-            if avoiding is not None and _triple_leq(avoiding, e):
-                continue
-            if _triple_leq(x, e):
-                above.append(e)
-    return tuple(
-        e
-        for e in above
-        if not any(f != e and _triple_leq(f, e) for f in above)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Text formats
 
 def format_element(class_id: ClassId, e: ClassElement) -> str:

@@ -31,17 +31,6 @@ MAX_PATTERN_SIZE = 8
 
 
 @dataclass(frozen=True)
-class AvoiderSequence:
-    class_id: ClassId
-    pattern: ClassElement
-    counts: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.counts) - 1
-
-
-@dataclass(frozen=True)
 class WilfGroup:
     members: tuple[ClassElement, ...]
     counts: tuple[int, ...]
@@ -105,9 +94,7 @@ def _check_budget(n: int | None, depth: int | None) -> None:
 
 
 @lru_cache(maxsize=None)
-def count_avoiders(
-    class_id: ClassId, pattern: ClassElement, depth: int
-) -> AvoiderSequence:
+def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[int, ...]:
     """Counts of class members avoiding the pattern, for sizes 0..depth."""
     _check_budget(None, depth)
     validate_element(class_id, pattern)
@@ -118,7 +105,7 @@ def count_avoiders(
     )
     if size_of(class_id, pattern) > 0:
         assert counts[0] == 1, "the empty permutation avoids nonempty patterns"
-    return AvoiderSequence(class_id, pattern, counts)
+    return counts
 
 
 def wilf_classes(class_id: ClassId, n: int, depth: int) -> WilfReport:
@@ -126,7 +113,7 @@ def wilf_classes(class_id: ClassId, n: int, depth: int) -> WilfReport:
     _check_budget(n, depth)
     groups: dict[tuple[int, ...], list[ClassElement]] = {}
     for pattern in generate(class_id, n):
-        counts = count_avoiders(class_id, pattern, depth).counts
+        counts = count_avoiders(class_id, pattern, depth)
         groups.setdefault(counts, []).append(pattern)
     ordered = sorted(groups.items(), key=lambda item: item[1][0])
     return WilfReport(
@@ -156,9 +143,9 @@ def verify_soundness(class_id: ClassId, n: int, depth: int) -> SoundnessReport:
     _check_budget(n, depth)
     violations = []
     for members in canonical_groups(class_id, n):
-        base = count_avoiders(class_id, members[0], depth).counts
+        base = count_avoiders(class_id, members[0], depth)
         for other in members[1:]:
-            counts = count_avoiders(class_id, other, depth).counts
+            counts = count_avoiders(class_id, other, depth)
             if counts != base:
                 index = next(i for i, (a, b) in enumerate(zip(base, counts)) if a != b)
                 violations.append(PairFinding(members[0], other, index))
@@ -177,9 +164,9 @@ def verify_completeness(class_id: ClassId, n: int, depth: int) -> CompletenessRe
     separated = []
     unseparated = []
     for i, x in enumerate(representatives):
-        cx = count_avoiders(class_id, x, depth).counts
+        cx = count_avoiders(class_id, x, depth)
         for y in representatives[i + 1 :]:
-            cy = count_avoiders(class_id, y, depth).counts
+            cy = count_avoiders(class_id, y, depth)
             diff = next((k for k, (a, b) in enumerate(zip(cx, cy)) if a != b), None)
             finding = PairFinding(x, y, diff)
             if diff is None:
@@ -228,7 +215,7 @@ def gf_crosscheck(class_id: ClassId, n: int, depth: int) -> int:
     checked = 0
     for pattern in generate(class_id, n):
         expansion = gf_of(pattern).expand(depth).integers()
-        counts = count_avoiders(class_id, pattern, depth).counts
+        counts = count_avoiders(class_id, pattern, depth)
         for k, (a, b) in enumerate(zip(counts, expansion)):
             if a != b:
                 raise GFMismatchError(pattern, k, a, b)

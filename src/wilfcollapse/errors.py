@@ -26,7 +26,7 @@ class PreconditionError(ValueError):
 
 
 class PoleError(ArithmeticError):
-    """Evaluation of a rational function at a zero of its denominator."""
+    """A series quotient by a divisor that vanishes at t = 0."""
 
 
 class CapExceededError(ValueError):

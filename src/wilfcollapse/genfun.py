@@ -29,13 +29,12 @@ roots, but its expansion differs from the exact, brute-force-checked counts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .encodings import ClassId, Composition, SumWord, validate_element
 from .errors import PreconditionError
-from .series import ONE, Poly, RationalGF, T, poly_gcd
+from .series import ONE, Poly, RationalGF, T
 
 _ONE_GF = RationalGF.of(ONE)
 _ONE_MINUS_T = Poly.of(1, -1)
@@ -200,13 +199,6 @@ def special_pair_gfs(k: int) -> tuple[RationalGF, RationalGF]:
 # ---------------------------------------------------------------------------
 # Real roots
 
-@dataclass(frozen=True)
-class RootValue:
-    value: float
-    kind: str  # "layered" or "lis"
-    index: int
-
-
 def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     while hi - lo > 1e-12:
@@ -221,7 +213,7 @@ def _bisect(f, lo: float, hi: float) -> float:
     return (lo + hi) / 2
 
 
-def layered_root(a: int) -> RootValue:
+def layered_root(a: int) -> float:
     """
     Least positive zero of 1 - t - ... - t^(a-1).  Exactly 1 for a = 2 and
     strictly decreasing toward 1/2 as a grows.
@@ -229,11 +221,10 @@ def layered_root(a: int) -> RootValue:
     if a < 2:
         raise PreconditionError("a must be at least 2")
     if a == 2:
-        return RootValue(1.0, "layered", a)
+        return 1.0
     poly = layered_denominator(a)
     # Strictly decreasing on (0, 1], positive at 0 and negative at 1.
-    value = _bisect(lambda x: poly.eval(x), 0.0, 1.0)
-    return RootValue(value, "layered", a)
+    return _bisect(poly.eval, 0.0, 1.0)
 
 
 def _sign_at(poly: Poly, x: Fraction) -> int:
@@ -253,7 +244,7 @@ def _changes_sign_around(poly: Poly, root: float) -> bool:
     return _sign_at(poly, x - half_width) * _sign_at(poly, x + half_width) < 0
 
 
-def lis_root(n: int) -> RootValue:
+def lis_root(n: int) -> float:
     """
     Greatest real zero of the reduced run-count polynomial of index n.
     Exactly -1 for n = 1; in (-1/2, 0) and strictly increasing for n >= 2.
@@ -263,11 +254,11 @@ def lis_root(n: int) -> RootValue:
     if n < 1:
         raise PreconditionError("n must be at least 1")
     if n == 1:
-        return RootValue(-1.0, "lis", n)
+        return -1.0
     value = -4.0 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2
     if not _changes_sign_around(reduced_lis_poly(n), value):
         raise ArithmeticError(f"no sign change around the closed form for index {n}")
-    return RootValue(value, "lis", n)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -289,70 +280,14 @@ def classify_pole(partition: tuple[int, ...], a: int) -> str:
     return "infinite" if den.divmod(layered_denominator(a))[1].is_zero() else "finite"
 
 
-@dataclass(frozen=True)
-class ZeroReport:
-    """Evaluations of an involvement GF at the run-count roots."""
-
-    word: SumWord
-    run_index: int
-    root: float
-    value_at_root: float
-    higher: tuple[tuple[int, float, float], ...]  # (index, root, value)
-    vanishes_at_root: bool
-    higher_nonzero: bool
-
-
 def product_form_vanishes_at(word: SumWord, n: int) -> bool:
     """
     Exact test that the product-form involvement GF vanishes at every root
     of the reduced run-count polynomial of index n, by polynomial
-    divisibility of its numerator.  Avoids the float fragility of point
-    evaluation: the values scale like r**size and sink below any fixed
-    tolerance as the root index grows.
+    divisibility of its numerator.
     """
     numerator = involve_gf_product_form(word).num
     return numerator.divmod(reduced_lis_poly(n))[1].is_zero()
-
-
-def zero_report(
-    word: SumWord,
-    span: int = 3,
-    use_product_form: bool = False,
-) -> ZeroReport:
-    """
-    Evaluate the involvement GF of a word at the root for its largest run
-    letter and at the next few larger indices.  The word must contain a run
-    letter of index at least 2.
-
-    The values are floats; the flags are exact.  The GF vanishes at the root
-    r_m when the gcd of its reduced numerator with the reduced run-count
-    polynomial of index m changes sign around r_m, as lis_root confirms it.
-    """
-    validate_element(ClassId.AV_312_321, word)
-    run_indices = [-v for v in word if v < 0 and v <= -2]
-    if not run_indices:
-        raise PreconditionError("word has no run letter of index >= 2")
-    n = max(run_indices)
-    gf = involve_gf_product_form(word) if use_product_form else involve_gf_sum_word(word)
-
-    def vanishes(m: int, rm: float) -> bool:
-        return _changes_sign_around(poly_gcd(gf.num, reduced_lis_poly(m)), rm)
-
-    rn = lis_root(n).value
-    value = float(gf.eval(rn))
-    higher = []
-    for m in range(n + 1, n + span + 1):
-        rm = lis_root(m).value
-        higher.append((m, rm, float(gf.eval(rm))))
-    return ZeroReport(
-        word=word,
-        run_index=n,
-        root=rn,
-        value_at_root=value,
-        higher=tuple(higher),
-        vanishes_at_root=vanishes(n, rn),
-        higher_nonzero=not any(vanishes(m, rm) for m, rm, _ in higher),
-    )
 
 
 # ---------------------------------------------------------------------------

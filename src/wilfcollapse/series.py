@@ -208,14 +208,7 @@ class RationalGF:
             for k in range(1, min(n, len(den) - 1) + 1):
                 acc -= den[k] * coeffs[n - k]
             coeffs.append(acc if den[0] == 1 else Fraction(acc, den[0]))
-        return TruncSeries(tuple(coeffs), order)
-
-    def eval(self, x):
-        """Value at x, raising PoleError at a pole; exact at a non-integer rational x."""
-        den = self.den.eval(x)
-        if den == 0:
-            raise PoleError(f"pole at {x!r}")
-        return self.num.eval(x) / den
+        return TruncSeries(tuple(coeffs))
 
     def __str__(self) -> str:
         return f"num = {self.num}; den = {self.den}"
@@ -223,10 +216,9 @@ class RationalGF:
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """The coefficients of a power series up to and including t**order."""
+    """The coefficients of a power series up to a truncation order."""
 
     coeffs: tuple[int | Fraction, ...]
-    order: int
 
     def integers(self) -> tuple[int, ...]:
         """Coefficients as ints; raises if any is not integral."""

@@ -97,11 +97,11 @@ def test_criterion_4_special_identity():
 
 
 def test_criterion_5_roots():
-    r1 = lis_root(1).value
-    r2 = lis_root(2).value
+    r1 = lis_root(1)
+    r2 = lis_root(2)
     closed_form = (-3 + math.sqrt(5)) / 2
     ok = r1 == -1.0 and abs(r2 - closed_form) < 1e-9
-    values = [lis_root(n).value for n in range(2, 21)]
+    values = [lis_root(n) for n in range(2, 21)]
     ok &= all(a < b for a, b in zip(values, values[1:]))
     ok &= all(-0.5 < v < 0 for v in values)
     report(5, "separating roots: r1, r2 closed form, monotone to n=20", ok)

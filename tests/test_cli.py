@@ -104,6 +104,8 @@ def test_verify_ok_and_usage_error(capsys):
         ["gf", "--class", "c3", "--pattern", "2", "--format", "json"],
         ["canon", "--class", "c4", "--element", "a1 b3 a1", "--format", "json"],
         ["verify", "--class", "c4", "--n", "3", "--depth", "10", "--format", "json"],
+        # an enumerated size above the brute-force depth budget
+        ["enumerate", "--class", "c2", "--n", "19"],
     ],
 )
 def test_out_of_domain_arguments_are_usage_errors(argv, capsys):
@@ -111,6 +113,10 @@ def test_out_of_domain_arguments_are_usage_errors(argv, capsys):
     out, err = capture(capsys)
     assert out == ""
     assert err.startswith("usage:") and "Traceback" not in err
+    # argparse reports an unrecognised argument with the top-level usage line,
+    # every other usage error with the subcommand's
+    if not {"--tol", "--format"} & set(argv):
+        assert err.startswith(f"usage: wilfcollapse {argv[0]} "), err
 
 
 def test_determinism(capsys):

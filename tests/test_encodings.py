@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wilfcollapse.encodings import (
     ClassId,
@@ -13,7 +15,6 @@ from wilfcollapse.encodings import (
     size_of,
     sum_word_concat,
     to_permutation,
-    triple_covers,
     validate_element,
 )
 from wilfcollapse.errors import BasisViolationError, ParseError
@@ -52,6 +53,13 @@ def test_roundtrip_exhaustive():
     for cid in ALL_CLASSES:
         for e in elements_up_to(cid, 8):
             assert from_permutation(cid, to_permutation(cid, e)) == e
+
+
+@given(st.sampled_from(ALL_CLASSES), st.integers(min_value=9, max_value=16), st.data())
+def test_roundtrip_beyond_exhaustive_sizes(cid, n, data):
+    members = generate(cid, n)
+    e = members[data.draw(st.integers(min_value=0, max_value=len(members) - 1))]
+    assert from_permutation(cid, to_permutation(cid, e)) == e
 
 
 def test_from_permutation_worked_examples():
@@ -126,37 +134,6 @@ def test_sum_word_concat_merges_runs():
     assert sum_word_concat((2, -1), (-2, 3)) == (2, -3, 3)
     assert sum_word_concat((2,), (3,)) == (2, 3)
     assert sum_word_concat((), (-1,)) == (-1,)
-
-
-# ---------------------------------------------------------------------------
-# Covers in the corner-triple order
-
-def test_triple_covers_restricted_posets():
-    # restricted to avoiders of (3,1,0): low-first-block elements have three covers
-    assert set(triple_covers((1, 2, 1), 5, avoiding=(3, 1, 0))) == {
-        (2, 2, 1),
-        (1, 3, 1),
-        (1, 2, 2),
-    }
-    # restricted to avoiders of (2,2,0): elements (x,1,y), x >= 2, have two
-    assert set(triple_covers((2, 1, 0), 5, avoiding=(2, 2, 0))) == {
-        (3, 1, 0),
-        (2, 1, 1),
-    }
-    assert set(triple_covers((1, 3, 1), 7, avoiding=(2, 2, 0))) == {
-        (1, 4, 1),
-        (1, 3, 2),
-    }
-    # the boundary case (1,1,y) has a third cover in the same poset
-    assert set(triple_covers((1, 1, 0), 5, avoiding=(2, 2, 0))) == {
-        (2, 1, 0),
-        (1, 2, 0),
-        (1, 1, 1),
-    }
-
-
-def test_triple_covers_full_class():
-    assert set(triple_covers((0, 0, 1), 3)) == {(0, 0, 2), (1, 1, 0)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from wilfcollapse.genfun import (
     product_form_vanishes_at,
     reduced_lis_poly,
     special_pair_gfs,
-    zero_report,
 )
-from wilfcollapse.series import ONE, Poly, RationalGF
+from wilfcollapse.series import ONE, Poly, RationalGF, poly_gcd
 
 C3 = ClassId.AV_312_231
 C4 = ClassId.AV_312_321
@@ -84,15 +83,14 @@ def test_involve_gf_base_case():
 
 def test_product_form_vanishes_but_overcounts():
     # the product form factors through the run-count polynomials, so it is
-    # zero at their roots; the exact involvement GF is not, because the
-    # product form overcounts words with a run letter at a junction
+    # zero at their roots; the exact involvement GF is zero at none of them,
+    # and the two expansions differ
     exact = involve_gf_sum_word((-2,))
     product = involve_gf_product_form((-2,))
     assert exact.expand(4).integers() == (0, 0, 1, 4, 8)
     assert product.expand(4).integers() != exact.expand(4).integers()
-    r2 = lis_root(2).value
-    assert abs(product.eval(r2)) < 1e-9
-    assert abs(exact.eval(r2)) > 1e-3
+    assert product_form_vanishes_at((-2,), 2)
+    assert poly_gcd(exact.num, reduced_lis_poly(2)) == ONE
 
 
 def test_leading_layer_cancellation():
@@ -165,7 +163,7 @@ def test_lis_poly_cold_cache_large_index():
     poly = lis_count_poly(1000)
     assert poly.degree == 2000 and poly.coefficient(1000) == 1
     assert poly.coefficient(1001) == math.comb(1001, 2)
-    assert -1e-5 < lis_root(1000).value < 0
+    assert -1e-5 < lis_root(1000) < 0
 
 
 @pytest.mark.parametrize("i", range(1, 7))
@@ -191,10 +189,10 @@ def test_lis_poly_degree_window():
 # Roots
 
 def test_lis_roots():
-    assert lis_root(1).value == -1.0
+    assert lis_root(1) == -1.0
     expected = (-3 + math.sqrt(5)) / 2
-    assert abs(lis_root(2).value - expected) < 1e-9
-    values = [lis_root(n).value for n in range(2, 11)]
+    assert abs(lis_root(2) - expected) < 1e-9
+    values = [lis_root(n) for n in range(2, 11)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(-0.5 < v < 0 for v in values)
     with pytest.raises(PreconditionError):
@@ -204,7 +202,7 @@ def test_lis_roots():
 def test_lis_roots_beyond_150():
     # from n = 151 on the two roots nearest 0 lie within 1/1024 of 0, where a
     # coarse sign-change scan misses both; each value must bracket a zero
-    values = {n: lis_root(n).value for n in range(2, 201)}
+    values = {n: lis_root(n) for n in range(2, 201)}
     assert all(values[n] < values[n + 1] for n in range(2, 200))
     for n in (151, 160, 200):
         assert abs(values[n] + 4 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2) < 1e-12
@@ -216,17 +214,17 @@ def test_lis_roots_beyond_150():
 
 
 def test_layered_roots():
-    assert layered_root(2).value == 1.0
-    assert abs(layered_root(3).value - (math.sqrt(5) - 1) / 2) < 1e-9
-    assert 0.5 < layered_root(10).value < 0.52
-    values = [layered_root(a).value for a in range(2, 11)]
+    assert layered_root(2) == 1.0
+    assert abs(layered_root(3) - (math.sqrt(5) - 1) / 2) < 1e-9
+    assert 0.5 < layered_root(10) < 0.52
+    values = [layered_root(a) for a in range(2, 11)]
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(PreconditionError):
         layered_root(1)
 
 
 # ---------------------------------------------------------------------------
-# Pole classification and zero reports
+# Pole classification and zeros
 
 def test_classify_pole_examples():
     assert classify_pole((2, 1), 3) == "finite"
@@ -236,27 +234,6 @@ def test_classify_pole_examples():
         classify_pole((2, 1), 2)
     with pytest.raises(PreconditionError):
         classify_pole((1, 2), 3)
-
-
-def test_zero_report_mechanics():
-    with pytest.raises(PreconditionError):
-        zero_report((2, -1))  # no run letter of index >= 2
-    report = zero_report((-2,))
-    assert report.run_index == 2
-    assert report.higher_nonzero
-    # the exact involvement GF does not vanish at the root; the claimed
-    # vanishing holds only for the diagnostic product form
-    assert not report.vanishes_at_root
-    assert abs(report.value_at_root - 0.019525612840) < 1e-9
-    product_report = zero_report((-2,), use_product_form=True)
-    assert product_report.vanishes_at_root
-    assert product_report.higher_nonzero
-    # values far below any float tolerance: about -6.9e-8 at r_5 for the
-    # exact form, and shrinking like r**size at the higher product roots
-    report = zero_report((-5,))
-    assert abs(report.value_at_root) < 1e-6 and not report.vanishes_at_root
-    product_report = zero_report((-5,), use_product_form=True)
-    assert product_report.vanishes_at_root and product_report.higher_nonzero
 
 
 def test_product_form_zero_pattern_across_words():
@@ -272,11 +249,12 @@ def test_product_form_zero_pattern_across_words():
 
 
 def test_drop_words_nonzero_at_roots():
-    # involvement GFs of words with no run letter of index >= 2 stay nonzero
+    # involvement GFs of words with no run letter of index >= 2 vanish at
+    # no root of the reduced run-count polynomials
     for word in [(2,), (3,), (2, 2), (2, -1, 2), (4, -1)]:
         gf = involve_gf_sum_word(word)
         for n in range(2, 6):
-            assert abs(gf.eval(lis_root(n).value)) > 1e-6, (word, n)
+            assert poly_gcd(gf.num, reduced_lis_poly(n)) == ONE, (word, n)
 
 
 def test_chebyshev_identity():

@@ -123,6 +123,14 @@ def test_expand_class_gf():
     assert f.expand(5).integers() == (1, 1, 2, 4, 8, 16)
 
 
+def test_eval_pole():
+    # the value of a rational function is num/den through Poly.eval; at a
+    # root of the denominator there is a pole, elsewhere the value is exact
+    f = RationalGF(ONE, Poly.of(1, -1))
+    assert f.den.eval(Fraction(1)) == 0 and f.num.eval(Fraction(1)) != 0
+    assert f.num.eval(Fraction(1, 2)) / f.den.eval(Fraction(1, 2)) == 2
+
+
 def test_division_errors():
     # a divisor vanishing at t = 0 leaves no series quotient
     with pytest.raises(PoleError):
@@ -138,3 +146,10 @@ def test_expand_matches_division():
     order = 10
     product = Poly(RationalGF(num, den).expand(order).coeffs) * den
     assert all(product.coefficient(k) == num.coefficient(k) for k in range(order + 1))
+
+
+def test_eval_agrees_with_partial_sums():
+    f = RationalGF(Poly.of(1, 1), Poly.of(1, 0, -1))
+    x = 0.125
+    truncated = sum(float(c) * x**k for k, c in enumerate(f.expand(40).coeffs))
+    assert abs(f.num.eval(x) / f.den.eval(x) - truncated) < 1e-12

@@ -49,6 +49,7 @@ from .engine import (
     wilf_classes,
 )
 from .genfun import (
+    avoid_gf,
     avoid_gf_layered,
     avoid_gf_sum_word,
     chebyshev_identity_holds,

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 
 from .canonical import (
     canonical_class_count,
@@ -28,16 +29,15 @@ from .encodings import ClassId, format_element, generate, parse_element, to_perm
 from .engine import (
     MAX_DEPTH,
     MAX_PATTERN_SIZE,
-    collapse_csv,
+    CollapseRow,
     collapse_rows,
     gf_crosscheck,
-    report_json,
     verify_completeness,
     verify_soundness,
     wilf_classes,
 )
 from .errors import GFMismatchError, ParseError
-from .genfun import avoid_gf_layered, avoid_gf_sum_word, layered_root, lis_root
+from .genfun import avoid_gf, layered_root, lis_root
 from .perms import format_perm
 
 
@@ -64,16 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, with_format, with_class=True, with_n=False, with_depth=False):
+    def add_common(p, *, with_format, classes=("c1", "c2", "c3", "c4"), with_n=False,
+                   with_depth=False):
         # checks after parsing report their usage errors through this parser
         p.set_defaults(parser=p)
         p.add_argument("--config", help="flat key=value file of option defaults")
         if with_format:
             p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        if with_class:
-            p.add_argument("--class", dest="class_id", required=True,
-                           choices=["c1", "c2", "c3", "c4"])
+        if classes:
+            p.add_argument("--class", dest="class_id", required=True, choices=classes)
         if with_n:
             p.add_argument("--n", type=_at_least(0), required=True)
         if with_depth:
@@ -87,17 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, with_format=True, with_n=True, with_depth=True)
 
     p = sub.add_parser("canon", help="canonical form of a layered or sum-word pattern")
-    add_common(p, with_format=False)
+    add_common(p, with_format=False, classes=("c3", "c4"))
     p.add_argument("--element", required=True)
 
     p = sub.add_parser("gf", help="avoidance generating function of a pattern")
-    add_common(p, with_format=False)
+    add_common(p, with_format=False, classes=("c3", "c4"))
     p.add_argument("--pattern", required=True)
     p.add_argument("--expand", type=_at_least(0), default=None, metavar="N",
                    help="also print series coefficients up to order N")
 
     p = sub.add_parser("roots", help="table of separating real roots")
-    add_common(p, with_class=False, with_format=True)
+    add_common(p, with_format=True, classes=())
     p.add_argument("--family", choices=["q", "layered"], required=True)
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
@@ -115,14 +115,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_size_and_depth(args) -> None:
     """
     Reject an enumerated size or --depth above MAX_DEPTH, a pattern size
-    above MAX_PATTERN_SIZE, and a --depth that cannot separate patterns of
-    the given size n: every member below size n avoids a size-n pattern and
-    at size n all but the pattern itself do, so to depth n all size-n
-    patterns share their counts.
+    above MAX_PATTERN_SIZE, a layered root table that stops before its
+    first index 2, and a --depth that cannot separate patterns of the given
+    size n: every member below size n avoids a size-n pattern and at size n
+    all but the pattern itself do, so to depth n all size-n patterns share
+    their counts.
     """
     parser = args.parser
     if args.command == "enumerate" and args.n > MAX_DEPTH:
         parser.error(f"--n {args.n} above the brute-force budget {MAX_DEPTH}")
+    if args.command == "roots" and args.family == "layered" and args.max_n < 2:
+        parser.error(f"--max-n {args.max_n} below 2, the first layered index")
     if getattr(args, "depth", None) is None:
         return
     flag, size = ("--max-n", args.max_n) if args.command == "report" else ("--n", args.n)
@@ -162,7 +165,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[list | tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -170,8 +173,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
+_COLLAPSE_HEADER = [f.name for f in fields(CollapseRow)]
+
+
 def _cmd_enumerate(args) -> int:
-    class_id = ClassId.from_string(args.class_id)
+    class_id = args.class_id
     elements = generate(class_id, args.n)
     if args.format == "json":
         payload = {
@@ -191,42 +197,44 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    class_id = ClassId.from_string(args.class_id)
+    class_id = args.class_id
     report = wilf_classes(class_id, args.n, args.depth)
     count = canonical_class_count(class_id, args.n)
     if args.format == "json":
-        _emit(report_json(report, count), args.out)
+        payload = {
+            "class": class_id.value,
+            "n": report.n,
+            "depth": report.depth,
+            "c_n": report.c_n,
+            "w_n": report.w_n,
+            "canonical_count": count,
+            "groups": [
+                {
+                    "members": [format_element(class_id, m) for m in g.members],
+                    "counts": list(g.counts),
+                }
+                for g in report.groups
+            ],
+        }
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        text = "n,c_n,w_n,canonical_count\n"
-        text += f"{args.n},{report.c_n},{report.w_n},{count}\n"
-        _emit(text, args.out)
+        row = [args.n, report.c_n, report.w_n, count]
+        _emit(_csv_text(_COLLAPSE_HEADER, [row]), args.out)
     return 0
 
 
 def _cmd_canon(args) -> int:
-    class_id = ClassId.from_string(args.class_id)
-    if class_id is ClassId.AV_312_231:
-        element = parse_element(class_id, args.element)
-        _emit(format_canonical_partition(canonical_partition(element)) + "\n", args.out)
-        return 0
-    if class_id is ClassId.AV_312_321:
-        element = parse_element(class_id, args.element)
-        _emit(format_canonical_pair(canonical_pair(element)) + "\n", args.out)
-        return 0
-    print("canonical forms exist for classes c3 and c4 only", file=sys.stderr)
-    return 2
+    element = parse_element(args.class_id, args.element)
+    if args.class_id is ClassId.AV_312_231:
+        text = format_canonical_partition(canonical_partition(element))
+    else:
+        text = format_canonical_pair(canonical_pair(element))
+    _emit(text + "\n", args.out)
+    return 0
 
 
 def _cmd_gf(args) -> int:
-    class_id = ClassId.from_string(args.class_id)
-    pattern = parse_element(class_id, args.pattern)
-    if class_id is ClassId.AV_312_231:
-        gf = avoid_gf_layered(pattern)
-    elif class_id is ClassId.AV_312_321:
-        gf = avoid_gf_sum_word(pattern)
-    else:
-        print("generating functions cover classes c3 and c4 only", file=sys.stderr)
-        return 2
+    gf = avoid_gf(args.class_id, parse_element(args.class_id, args.pattern))
     text = str(gf) + "\n"
     if args.expand is not None:
         coeffs = gf.expand(args.expand).integers()
@@ -255,7 +263,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    class_id = ClassId.from_string(args.class_id)
+    class_id = args.class_id
     lines = []
     failures = 0
     if class_id in (ClassId.AV_312_231, ClassId.AV_312_321):
@@ -285,16 +293,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    class_id = ClassId.from_string(args.class_id)
-    rows = collapse_rows(class_id, args.max_n, args.depth)
+    rows = collapse_rows(args.class_id, args.max_n, args.depth)
     if args.format == "json":
-        payload = [
-            {"n": r.n, "c_n": r.c_n, "w_n": r.w_n, "canonical_count": r.canonical_count}
-            for r in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps([asdict(r) for r in rows], indent=2) + "\n", args.out)
     else:
-        _emit(collapse_csv(rows), args.out)
+        _emit(_csv_text(_COLLAPSE_HEADER, [astuple(r) for r in rows]), args.out)
     return 0
 
 
@@ -321,6 +324,8 @@ def run(argv: list[str]) -> int:
         _check_size_and_depth(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if "class_id" in args:
+        args.class_id = ClassId(args.class_id)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError) as exc:

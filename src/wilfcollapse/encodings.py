@@ -54,13 +54,6 @@ class ClassId(Enum):
             ClassId.AV_312_321: ((3, 1, 2), (3, 2, 1)),
         }[self]
 
-    @classmethod
-    def from_string(cls, text: str) -> "ClassId":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown class {text!r}; expected c1..c4") from None
-
 
 # ---------------------------------------------------------------------------
 # Validation and size

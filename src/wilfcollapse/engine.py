@@ -6,10 +6,10 @@ coincides with the canonical-form equivalences.
 Everything here is a deterministic reduction over immutable inputs; counting
 different patterns is embarrassingly parallel but runs sequentially, with a
 cache keyed by (class, pattern, depth) so repeated verifications are free.
+Results are returned as data; the command-line front end renders them.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,14 +17,13 @@ from .canonical import canonical_class_count, canonical_key
 from .encodings import (
     ClassElement,
     ClassId,
-    format_element,
     generate,
     leq_function,
     size_of,
     validate_element,
 )
 from .errors import BudgetExceededError, GFMismatchError
-from .genfun import avoid_gf_layered, avoid_gf_sum_word
+from .genfun import avoid_gf
 
 MAX_DEPTH = 18
 MAX_PATTERN_SIZE = 8
@@ -76,7 +75,6 @@ class CompletenessReport:
     class_id: ClassId
     n: int
     depth: int
-    separated: tuple[PairFinding, ...]
     unseparated: tuple[PairFinding, ...]  # warnings: need a larger depth
 
     @property
@@ -135,6 +133,11 @@ def canonical_groups(class_id: ClassId, n: int) -> tuple[tuple[ClassElement, ...
     )
 
 
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
+    """First index where two counting sequences differ, or None if they agree."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
 def verify_soundness(class_id: ClassId, n: int, depth: int) -> SoundnessReport:
     """
     Patterns with equal canonical form must have equal counting sequences to
@@ -145,9 +148,8 @@ def verify_soundness(class_id: ClassId, n: int, depth: int) -> SoundnessReport:
     for members in canonical_groups(class_id, n):
         base = count_avoiders(class_id, members[0], depth)
         for other in members[1:]:
-            counts = count_avoiders(class_id, other, depth)
-            if counts != base:
-                index = next(i for i, (a, b) in enumerate(zip(base, counts)) if a != b)
+            index = _first_difference(base, count_avoiders(class_id, other, depth))
+            if index is not None:
                 violations.append(PairFinding(members[0], other, index))
     return SoundnessReport(class_id, n, depth, tuple(violations))
 
@@ -161,21 +163,13 @@ def verify_completeness(class_id: ClassId, n: int, depth: int) -> CompletenessRe
     _check_budget(n, depth)
     groups = canonical_groups(class_id, n)
     representatives = [g[0] for g in groups]
-    separated = []
     unseparated = []
     for i, x in enumerate(representatives):
         cx = count_avoiders(class_id, x, depth)
         for y in representatives[i + 1 :]:
-            cy = count_avoiders(class_id, y, depth)
-            diff = next((k for k, (a, b) in enumerate(zip(cx, cy)) if a != b), None)
-            finding = PairFinding(x, y, diff)
-            if diff is None:
-                unseparated.append(finding)
-            else:
-                separated.append(finding)
-    return CompletenessReport(
-        class_id, n, depth, tuple(separated), tuple(unseparated)
-    )
+            if _first_difference(cx, count_avoiders(class_id, y, depth)) is None:
+                unseparated.append(PairFinding(x, y, None))
+    return CompletenessReport(class_id, n, depth, tuple(unseparated))
 
 
 @dataclass(frozen=True)
@@ -206,46 +200,12 @@ def gf_crosscheck(class_id: ClassId, n: int, depth: int) -> int:
     first disagreement.
     """
     _check_budget(n, depth)
-    if class_id is ClassId.AV_312_231:
-        gf_of = avoid_gf_layered
-    elif class_id is ClassId.AV_312_321:
-        gf_of = avoid_gf_sum_word
-    else:
-        raise ValueError("generating functions cover c3 and c4 only")
     checked = 0
     for pattern in generate(class_id, n):
-        expansion = gf_of(pattern).expand(depth).integers()
+        expansion = avoid_gf(class_id, pattern).expand(depth).integers()
         counts = count_avoiders(class_id, pattern, depth)
         for k, (a, b) in enumerate(zip(counts, expansion)):
             if a != b:
                 raise GFMismatchError(pattern, k, a, b)
         checked += 1
     return checked
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-
-def collapse_csv(rows: tuple[CollapseRow, ...]) -> str:
-    lines = ["n,c_n,w_n,canonical_count"]
-    lines += [f"{r.n},{r.c_n},{r.w_n},{r.canonical_count}" for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def report_json(report: WilfReport, canonical_count: int) -> str:
-    payload = {
-        "class": report.class_id.value,
-        "n": report.n,
-        "depth": report.depth,
-        "c_n": report.c_n,
-        "w_n": report.w_n,
-        "canonical_count": canonical_count,
-        "groups": [
-            {
-                "members": [format_element(report.class_id, m) for m in g.members],
-                "counts": list(g.counts),
-            }
-            for g in report.groups
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

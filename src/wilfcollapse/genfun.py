@@ -168,6 +168,15 @@ def avoid_gf_sum_word(word: SumWord) -> RationalGF:
     return class_gf(ClassId.AV_312_321) - involve_gf_sum_word(word)
 
 
+def avoid_gf(class_id: ClassId, pattern) -> RationalGF:
+    """Avoidance generating function of a pattern of class c3 or c4."""
+    if class_id is ClassId.AV_312_231:
+        return avoid_gf_layered(pattern)
+    if class_id is ClassId.AV_312_321:
+        return avoid_gf_sum_word(pattern)
+    raise ValueError("generating functions cover c3 and c4 only")
+
+
 def involve_gf_product_form(word: SumWord) -> RationalGF:
     """
     The order-independent product form of the involvement GF: one factor per

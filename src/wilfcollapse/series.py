@@ -35,8 +35,8 @@ class Poly:
         return cls(coeffs)
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "Poly":
-        return cls((0,) * power + (coeff,))
+    def monomial(cls, power: int) -> "Poly":
+        return cls((0,) * power + (1,))
 
     @property
     def degree(self) -> int:

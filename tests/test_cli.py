@@ -106,6 +106,11 @@ def test_verify_ok_and_usage_error(capsys):
         ["verify", "--class", "c4", "--n", "3", "--depth", "10", "--format", "json"],
         # an enumerated size above the brute-force depth budget
         ["enumerate", "--class", "c2", "--n", "19"],
+        # canonical forms and GFs exist for c3 and c4 only
+        ["canon", "--class", "c1", "--element", "t:1,1,0"],
+        ["gf", "--class", "c2", "--pattern", "LR"],
+        # layered root indices start at 2
+        ["roots", "--family", "layered", "--max-n", "1"],
     ],
 )
 def test_out_of_domain_arguments_are_usage_errors(argv, capsys):

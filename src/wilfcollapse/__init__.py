@@ -4,7 +4,7 @@ classes with basis {312, x} for a second size-3 pattern x.
 
 The public surface re-exports the permutation core, the class encodings,
 the canonical equivalences, the generating-function engine, and the
-brute-force verification engine.
+counting and verification engine.
 """
 
 from .canonical import (

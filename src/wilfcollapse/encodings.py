@@ -275,6 +275,10 @@ def from_permutation(class_id: ClassId, p: Perm) -> ClassElement:
 
 # ---------------------------------------------------------------------------
 # Class-specific order tests
+#
+# For c2, c3 and c4 the order test is a greedy left-to-right scan with a
+# small state, written once per class as a resumable scan(pattern, word,
+# state) that returns the state after word (see scan_automaton).
 
 def _triple_leq(x: Triple, y: Triple) -> bool:
     a, b, c = x
@@ -283,55 +287,79 @@ def _triple_leq(x: Triple, y: Triple) -> bool:
     return a <= y[0] and b <= y[1] and c <= y[2]
 
 
-def _wedge_leq(x: WedgeWord, y: WedgeWord) -> bool:
+def _wedge_scan(x: str, y: str, i: int) -> int:
     # The recursive order rules on wedges amount to: x is involved in y
-    # exactly when the step string of x is a subsequence of that of y.
+    # exactly when the step string of x is a subsequence of that of y.  The
+    # state is the number of steps of x matched so far.
+    it = iter(y)
+    for i in range(i, len(x)):
+        if x[i] not in it:
+            return i
+    return len(x)
+
+
+def _wedge_leq(x: WedgeWord, y: WedgeWord) -> bool:
     if x is None:
         return True
     if y is None:
         return False
-    it = iter(y)
-    return all(step in it for step in x)
+    return _wedge_scan(x, y, 0) == len(x)
+
+
+def _composition_scan(x: Composition, y: Composition, i: int) -> int:
+    # Subword domination, matched greedily left to right.  The state is the
+    # number of parts of x matched so far.
+    k = len(x)
+    if i == k:
+        return i
+    want = x[i]
+    for part in y:
+        if part >= want:
+            i += 1
+            if i == k:
+                break
+            want = x[i]
+    return i
 
 
 def _composition_leq(x: Composition, y: Composition) -> bool:
-    # Subword domination, matched greedily left to right.
-    i = 0
+    return _composition_scan(x, y, 0) == len(x)
+
+
+def _sum_word_scan(x: SumWord, y: SumWord, state: tuple[int, int]) -> tuple[int, int]:
+    # A drop letter of the pattern must embed in a single drop letter of the
+    # target with index at least as large; a run letter may spread over
+    # several target letters, consuming the longest increasing run each
+    # provides: i for a run letter -i, j - 1 for a drop letter j.  A
+    # partially consumed target letter cannot also host the next pattern
+    # letter, so the scan always moves past it.  The state is (i, need): i
+    # letters of x are matched, and need > 0 is what the run letter x[i]
+    # still lacks once begun.
+    i, need = state
     k = len(x)
-    for part in y:
-        if i < k and x[i] <= part:
-            i += 1
-    return i == k
-
-
-def letter_capacity(letter: int) -> int:
-    """Length of the longest increasing run a single letter contributes."""
-    return -letter if letter < 0 else letter - 1
+    if i == k:
+        return state
+    want = x[i]
+    for letter in y:
+        if want > 0:
+            if letter < want:
+                continue
+        else:
+            if not need:
+                need = -want
+            need -= -letter if letter < 0 else letter - 1
+            if need > 0:
+                continue
+            need = 0
+        i += 1
+        if i == k:
+            break
+        want = x[i]
+    return i, need
 
 
 def _sum_word_leq(x: SumWord, y: SumWord) -> bool:
-    # Greedy scan.  A drop letter of the pattern must embed in a single drop
-    # letter of the target with index at least as large; a run letter may
-    # spread over several target letters, consuming the longest increasing
-    # run each provides.  A partially consumed target letter cannot also
-    # host the next pattern letter, so the scan always moves past it.
-    pos = 0
-    n = len(y)
-    for letter in x:
-        if letter > 0:
-            while pos < n and not (y[pos] > 0 and y[pos] >= letter):
-                pos += 1
-            if pos == n:
-                return False
-            pos += 1
-        else:
-            need = -letter
-            while pos < n and need > 0:
-                need -= letter_capacity(y[pos])
-                pos += 1
-            if need > 0:
-                return False
-    return True
+    return _sum_word_scan(x, y, (0, 0))[0] == len(x)
 
 
 _LEQ = {
@@ -350,6 +378,23 @@ def class_leq(class_id: ClassId, x: ClassElement, y: ClassElement) -> bool:
 def leq_function(class_id: ClassId):
     """The raw order test for a class, for tight counting loops."""
     return _LEQ[class_id]
+
+
+def scan_automaton(class_id: ClassId, pattern: ClassElement) -> tuple:
+    """
+    The order test of c2, c3 or c4 against a fixed pattern, as
+    ``(scan, start, goal)``: ``class_leq(class_id, pattern, y)`` holds
+    exactly when ``scan(pattern, y, start) == goal``, for every word y of
+    the native encoding other than c2's None.  A c2 pattern must not be
+    None, which every element involves.
+    """
+    if class_id is ClassId.AV_312_213:
+        return _wedge_scan, 0, len(pattern)
+    if class_id is ClassId.AV_312_231:
+        return _composition_scan, 0, len(pattern)
+    if class_id is ClassId.AV_312_321:
+        return _sum_word_scan, (0, 0), (len(pattern), 0)
+    raise ValueError(f"{class_id.value} has no scan automaton")
 
 
 def avoiding_elements(class_id: ClassId, pattern: ClassElement, n: int) -> tuple:

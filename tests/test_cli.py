@@ -17,6 +17,58 @@ def test_classify_csv(capsys):
     assert out == "n,c_n,w_n,canonical_count\n4,8,3,3\n"
 
 
+REPORT_C4_JSON = """[
+  {
+    "n": 1,
+    "c_n": 1,
+    "w_n": 1,
+    "canonical_count": 1
+  },
+  {
+    "n": 2,
+    "c_n": 2,
+    "w_n": 2,
+    "canonical_count": 2
+  },
+  {
+    "n": 3,
+    "c_n": 4,
+    "w_n": 3,
+    "canonical_count": 3
+  },
+  {
+    "n": 4,
+    "c_n": 8,
+    "w_n": 5,
+    "canonical_count": 5
+  },
+  {
+    "n": 5,
+    "c_n": 16,
+    "w_n": 8,
+    "canonical_count": 8
+  }
+]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify", "--class", "c3", "--n", "6", "--depth", "12", "--format", "csv"],
+         "n,c_n,w_n,canonical_count\n6,32,6,6\n"),
+        (["report", "--class", "c4", "--max-n", "5", "--depth", "12", "--format", "json"],
+         REPORT_C4_JSON),
+    ],
+)
+def test_table_bytes_no_golden_checks(argv, expected, capsys):
+    # perfbench/goldens.json holds no classify CSV and no report JSON op
+    code = run(argv)
+    out, _ = capture(capsys)
+    assert code == 0
+    assert out == expected
+
+
 def test_classify_json_groups(capsys):
     code = run(["classify", "--class", "c3", "--n", "4", "--depth", "12",
                 "--format", "json"])

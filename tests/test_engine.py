@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wilfcollapse.encodings import ClassId, generate, to_permutation
+from wilfcollapse.encodings import (
+    ClassId,
+    avoiding_elements,
+    generate,
+    to_permutation,
+)
 from wilfcollapse.engine import (
     collapse_rows,
     count_avoiders,
@@ -11,6 +18,7 @@ from wilfcollapse.engine import (
     wilf_classes,
 )
 from wilfcollapse.errors import BudgetExceededError
+from wilfcollapse.genfun import avoid_gf
 from wilfcollapse.perms import involves
 
 C1, C2, C3, C4 = ClassId
@@ -21,6 +29,11 @@ def test_count_avoiders_examples():
     assert count_avoiders(C4, (2,), 6) == (1,) * 7
     # a decreasing pattern leaves finitely many avoiders
     assert count_avoiders(C1, (0, 0, 3), 6) == (1, 1, 2, 3, 1, 0, 0)
+    # every element involves the empty pattern, every nonempty one a point;
+    # c2's empty permutation is None and its one-point permutation ""
+    for cid, empty, point in ((C2, None, ""), (C3, (), (1,)), (C4, (), (-1,))):
+        assert count_avoiders(cid, empty, 6) == (0,) * 7, cid
+        assert count_avoiders(cid, point, 6) == (1,) + (0,) * 6, cid
 
 
 def test_count_avoiders_budget():
@@ -40,6 +53,33 @@ def generic_counts(cid, pattern, depth):
         )
         for m in range(depth + 1)
     )
+
+
+def brute_counts(cid, pattern, depth):
+    return tuple(len(avoiding_elements(cid, pattern, m)) for m in range(depth + 1))
+
+
+def test_count_avoiders_matches_brute_force_in_criterion_2_range():
+    # the scan-automaton counts equal enumeration with the order test for
+    # every c2-c4 pattern of size 0-8 to depth 16, criterion 2's range
+    for cid in (C2, C3, C4):
+        for n in range(9):
+            for pattern in generate(cid, n):
+                assert count_avoiders(cid, pattern, 16) == brute_counts(
+                    cid, pattern, 16
+                ), (cid, pattern)
+
+
+C3_C4_PATTERNS = [(cid, p) for cid in (C3, C4) for n in range(8) for p in generate(cid, n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(C3_C4_PATTERNS), st.integers(min_value=0, max_value=14))
+def test_count_avoiders_brute_force_and_gf_agree(case, depth):
+    cid, pattern = case
+    counts = count_avoiders(cid, pattern, depth)
+    assert counts == brute_counts(cid, pattern, depth)
+    assert counts == avoid_gf(cid, pattern).expand(depth).integers()
 
 
 def test_count_avoiders_matches_generic_involvement():

@@ -40,7 +40,6 @@ from .encodings import (
     to_permutation,
 )
 from .engine import (
-    WilfReport,
     collapse_rows,
     count_avoiders,
     gf_crosscheck,

@@ -80,10 +80,6 @@ class PartitionPair:
         if len(self.a_parts) > len(self.b_parts) + 1:
             raise ValueError("too many run parts to interleave")
 
-    @property
-    def size(self) -> int:
-        return sum(self.b_parts) + sum(self.a_parts)
-
 
 def canonical_pair(word: SumWord) -> PartitionPair:
     """
@@ -277,18 +273,21 @@ def _composition_closure(comp: Composition) -> frozenset:
     return frozenset(seen)
 
 
-def rewrite_closure(class_id: ClassId, element, cap: int = 12) -> frozenset:
+CLOSURE_CAP = 12  # largest element size whose closure is searched
+
+
+def rewrite_closure(class_id: ClassId, element) -> frozenset:
     """
     The full equivalence class of an element under the defining rewrite
     rules, including contextual lifts of subword equivalences.  A validation
-    oracle, capped by size.
+    oracle for elements of size at most CLOSURE_CAP.
     """
     if class_id not in (ClassId.AV_312_231, ClassId.AV_312_321):
         raise PreconditionError("rewrite closure applies to c3 and c4 only")
     validate_element(class_id, element)
-    if size_of(class_id, element) > cap:
+    if size_of(class_id, element) > CLOSURE_CAP:
         raise CapExceededError(
-            f"element size {size_of(class_id, element)} above cap {cap}"
+            f"element size {size_of(class_id, element)} above cap {CLOSURE_CAP}"
         )
     if class_id is ClassId.AV_312_231:
         return _composition_closure(element)

@@ -19,7 +19,6 @@ import sys
 from dataclasses import asdict, astuple, fields
 
 from .canonical import (
-    canonical_class_count,
     canonical_pair,
     canonical_partition,
     format_canonical_pair,
@@ -30,6 +29,7 @@ from .engine import (
     MAX_DEPTH,
     MAX_PATTERN_SIZE,
     CollapseRow,
+    collapse_row,
     collapse_rows,
     gf_crosscheck,
     verify_completeness,
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
     p = sub.add_parser("verify",
-                       help="check the canonical grouping against brute force")
+                       help="check the canonical grouping against avoider counts")
     add_common(p, with_format=False, with_n=True, with_depth=True)
 
     p = sub.add_parser("report", help="collapse table n, c_n, w_n, canonical count")
@@ -123,28 +123,31 @@ def _check_size_and_depth(args) -> None:
     """
     parser = args.parser
     if args.command == "enumerate" and args.n > MAX_DEPTH:
-        parser.error(f"--n {args.n} above the brute-force budget {MAX_DEPTH}")
+        parser.error(f"--n {args.n} above the counting budget {MAX_DEPTH}")
     if args.command == "roots" and args.family == "layered" and args.max_n < 2:
         parser.error(f"--max-n {args.max_n} below 2, the first layered index")
     if getattr(args, "depth", None) is None:
         return
     flag, size = ("--max-n", args.max_n) if args.command == "report" else ("--n", args.n)
     if size > MAX_PATTERN_SIZE:
-        parser.error(f"{flag} {size} above the brute-force budget {MAX_PATTERN_SIZE}")
+        parser.error(f"{flag} {size} above the counting budget {MAX_PATTERN_SIZE}")
     if args.depth > MAX_DEPTH:
-        parser.error(f"--depth {args.depth} above the brute-force budget {MAX_DEPTH}")
+        parser.error(f"--depth {args.depth} above the counting budget {MAX_DEPTH}")
     if size >= 2 and args.depth <= size:
         parser.error(f"--depth {args.depth} must exceed {flag} {size} to separate patterns")
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice key=value pairs from a --config file in as defaults."""
-    if "--config" not in argv:
+    """Splice key=value pairs from a --config PATH or --config=PATH file in as defaults."""
+    for at, token in enumerate(argv):
+        if token.startswith("--config="):
+            path = token.partition("=")[2]
+            break
+        if token == "--config" and at + 1 < len(argv):
+            path = argv[at + 1]
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv
-    path = argv[at + 1]
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -198,28 +201,24 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_classify(args) -> int:
     class_id = args.class_id
-    report = wilf_classes(class_id, args.n, args.depth)
-    count = canonical_class_count(class_id, args.n)
+    groups = wilf_classes(class_id, args.n, args.depth)
+    row = collapse_row(class_id, args.n, groups)
     if args.format == "json":
         payload = {
             "class": class_id.value,
-            "n": report.n,
-            "depth": report.depth,
-            "c_n": report.c_n,
-            "w_n": report.w_n,
-            "canonical_count": count,
+            "depth": args.depth,
+            **asdict(row),
             "groups": [
                 {
                     "members": [format_element(class_id, m) for m in g.members],
                     "counts": list(g.counts),
                 }
-                for g in report.groups
+                for g in groups
             ],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        row = [args.n, report.c_n, report.w_n, count]
-        _emit(_csv_text(_COLLAPSE_HEADER, [row]), args.out)
+        _emit(_csv_text(_COLLAPSE_HEADER, [astuple(row)]), args.out)
     return 0
 
 
@@ -267,15 +266,13 @@ def _cmd_verify(args) -> int:
     lines = []
     failures = 0
     if class_id in (ClassId.AV_312_231, ClassId.AV_312_321):
-        soundness = verify_soundness(class_id, args.n, args.depth)
+        violations = verify_soundness(class_id, args.n, args.depth)
+        lines.append(f"soundness,{f'{len(violations)} violations' if violations else 'ok'}")
+        unseparated = verify_completeness(class_id, args.n, args.depth)
         lines.append(
-            f"soundness,{'ok' if soundness.ok else f'{len(soundness.violations)} violations'}"
+            f"completeness,{f'{len(unseparated)} unseparated' if unseparated else 'ok'}"
         )
-        failures += not soundness.ok
-        completeness = verify_completeness(class_id, args.n, args.depth)
-        status = "ok" if completeness.ok else f"{len(completeness.unseparated)} unseparated"
-        lines.append(f"completeness,{status}")
-        failures += not completeness.ok
+        failures += bool(violations) + bool(unseparated)
         try:
             checked = gf_crosscheck(class_id, args.n, args.depth)
             lines.append(f"gf_crosscheck,ok ({checked} patterns)")
@@ -283,10 +280,9 @@ def _cmd_verify(args) -> int:
             lines.append(f"gf_crosscheck,failed: {exc}")
             failures += 1
     else:
-        report = wilf_classes(class_id, args.n, args.depth)
-        expected = canonical_class_count(class_id, args.n)
-        ok = report.w_n == expected
-        lines.append(f"wilf_count,{'ok' if ok else f'{report.w_n} != {expected}'}")
+        row = collapse_row(class_id, args.n, wilf_classes(class_id, args.n, args.depth))
+        ok = row.w_n == row.canonical_count
+        lines.append(f"wilf_count,{'ok' if ok else f'{row.w_n} != {row.canonical_count}'}")
         failures += not ok
     _emit("check,result\n" + "\n".join(lines) + "\n", args.out)
     return 1 if failures else 0

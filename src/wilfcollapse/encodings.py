@@ -399,7 +399,7 @@ def scan_automaton(class_id: ClassId, pattern: ClassElement) -> tuple:
 
 def avoiding_elements(class_id: ClassId, pattern: ClassElement, n: int) -> tuple:
     """Class members of size n avoiding the given pattern, in generation order."""
-    leq = _LEQ[class_id]
+    leq = leq_function(class_id)
     return tuple(e for e in generate(class_id, n) if not leq(pattern, e))
 
 

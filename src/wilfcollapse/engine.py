@@ -28,8 +28,8 @@ from .canonical import canonical_class_count, canonical_key
 from .encodings import (
     ClassElement,
     ClassId,
+    avoiding_elements,
     generate,
-    leq_function,
     scan_automaton,
     size_of,
     validate_element,
@@ -48,22 +48,6 @@ class WilfGroup:
 
 
 @dataclass(frozen=True)
-class WilfReport:
-    class_id: ClassId
-    n: int
-    depth: int
-    groups: tuple[WilfGroup, ...]
-
-    @property
-    def w_n(self) -> int:
-        return len(self.groups)
-
-    @property
-    def c_n(self) -> int:
-        return sum(len(g.members) for g in self.groups)
-
-
-@dataclass(frozen=True)
 class PairFinding:
     x: ClassElement
     y: ClassElement
@@ -71,30 +55,16 @@ class PairFinding:
 
 
 @dataclass(frozen=True)
-class SoundnessReport:
-    class_id: ClassId
+class CollapseRow:
     n: int
-    depth: int
-    violations: tuple[PairFinding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    class_id: ClassId
-    n: int
-    depth: int
-    unseparated: tuple[PairFinding, ...]  # warnings: need a larger depth
-
-    @property
-    def ok(self) -> bool:
-        return not self.unseparated
+    c_n: int
+    w_n: int
+    canonical_count: int
 
 
 def _check_budget(n: int | None, depth: int | None) -> None:
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     if depth is not None and depth > MAX_DEPTH:
         raise BudgetExceededError(f"depth {depth} above budget {MAX_DEPTH}")
     if n is not None and n > MAX_PATTERN_SIZE:
@@ -164,10 +134,8 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
     _check_budget(None, depth)
     validate_element(class_id, pattern)
     if class_id is ClassId.AV_312_123:
-        leq = leq_function(class_id)
         counts = tuple(
-            sum(1 for e in generate(class_id, m) if not leq(pattern, e))
-            for m in range(depth + 1)
+            len(avoiding_elements(class_id, pattern, m)) for m in range(depth + 1)
         )
     elif class_id is ClassId.AV_312_213:
         if pattern is None:
@@ -181,30 +149,35 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
     return counts
 
 
-def wilf_classes(class_id: ClassId, n: int, depth: int) -> WilfReport:
+def _partition(patterns, key) -> tuple[tuple, ...]:
+    """(key, members) pairs of the patterns grouped by key, ordered by first member."""
+    groups: dict = {}
+    for pattern in patterns:
+        groups.setdefault(key(pattern), []).append(pattern)
+    return tuple(
+        (k, tuple(members))
+        for k, members in sorted(groups.items(), key=lambda item: item[1][0])
+    )
+
+
+def wilf_classes(class_id: ClassId, n: int, depth: int) -> tuple[WilfGroup, ...]:
     """Group the size-n patterns by equality of their counting sequences."""
     _check_budget(n, depth)
-    groups: dict[tuple[int, ...], list[ClassElement]] = {}
-    for pattern in generate(class_id, n):
-        counts = count_avoiders(class_id, pattern, depth)
-        groups.setdefault(counts, []).append(pattern)
-    ordered = sorted(groups.items(), key=lambda item: item[1][0])
-    return WilfReport(
-        class_id,
-        n,
-        depth,
-        tuple(WilfGroup(tuple(members), counts) for counts, members in ordered),
+    return tuple(
+        WilfGroup(members, counts)
+        for counts, members in _partition(
+            generate(class_id, n), lambda p: count_avoiders(class_id, p, depth)
+        )
     )
 
 
 def canonical_groups(class_id: ClassId, n: int) -> tuple[tuple[ClassElement, ...], ...]:
     """Size-n patterns partitioned by canonical form, in generation order."""
-    groups: dict[tuple, list[ClassElement]] = {}
-    for pattern in generate(class_id, n):
-        groups.setdefault(canonical_key(class_id, pattern), []).append(pattern)
     return tuple(
-        tuple(members)
-        for members in sorted(groups.values(), key=lambda ms: ms[0])
+        members
+        for _, members in _partition(
+            generate(class_id, n), lambda p: canonical_key(class_id, p)
+        )
     )
 
 
@@ -213,10 +186,10 @@ def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
-def verify_soundness(class_id: ClassId, n: int, depth: int) -> SoundnessReport:
+def verify_soundness(class_id: ClassId, n: int, depth: int) -> tuple[PairFinding, ...]:
     """
     Patterns with equal canonical form must have equal counting sequences to
-    the given depth; any violating pair is reported.
+    the given depth; each violating pair is returned, none when sound.
     """
     _check_budget(n, depth)
     violations = []
@@ -226,14 +199,14 @@ def verify_soundness(class_id: ClassId, n: int, depth: int) -> SoundnessReport:
             index = _first_difference(base, count_avoiders(class_id, other, depth))
             if index is not None:
                 violations.append(PairFinding(members[0], other, index))
-    return SoundnessReport(class_id, n, depth, tuple(violations))
+    return tuple(violations)
 
 
-def verify_completeness(class_id: ClassId, n: int, depth: int) -> CompletenessReport:
+def verify_completeness(class_id: ClassId, n: int, depth: int) -> tuple[PairFinding, ...]:
     """
     Patterns with distinct canonical forms must have counting sequences that
     differ at some index up to the depth.  Pairs still equal at the depth
-    are reported as unseparated, demanding a larger depth.
+    are returned as unseparated, demanding a larger depth; none when complete.
     """
     _check_budget(n, depth)
     groups = canonical_groups(class_id, n)
@@ -244,27 +217,26 @@ def verify_completeness(class_id: ClassId, n: int, depth: int) -> CompletenessRe
         for y in representatives[i + 1 :]:
             if _first_difference(cx, count_avoiders(class_id, y, depth)) is None:
                 unseparated.append(PairFinding(x, y, None))
-    return CompletenessReport(class_id, n, depth, tuple(unseparated))
+    return tuple(unseparated)
 
 
-@dataclass(frozen=True)
-class CollapseRow:
-    n: int
-    c_n: int
-    w_n: int
-    canonical_count: int
+def collapse_row(class_id: ClassId, n: int, groups: tuple[WilfGroup, ...]) -> CollapseRow:
+    """The collapse table's row for the Wilf classes of the size-n patterns."""
+    return CollapseRow(
+        n,
+        sum(len(g.members) for g in groups),
+        len(groups),
+        canonical_class_count(class_id, n),
+    )
 
 
 def collapse_rows(class_id: ClassId, n_max: int, depth: int) -> tuple[CollapseRow, ...]:
     """The collapse table: class size, Wilf-class count, canonical count."""
     _check_budget(n_max, depth)
-    rows = []
-    for n in range(1, n_max + 1):
-        report = wilf_classes(class_id, n, depth)
-        rows.append(
-            CollapseRow(n, report.c_n, report.w_n, canonical_class_count(class_id, n))
-        )
-    return tuple(rows)
+    return tuple(
+        collapse_row(class_id, n, wilf_classes(class_id, n, depth))
+        for n in range(1, n_max + 1)
+    )
 
 
 def gf_crosscheck(class_id: ClassId, n: int, depth: int) -> int:

@@ -30,11 +30,11 @@ class PoleError(ArithmeticError):
 
 
 class CapExceededError(ValueError):
-    """Input size above the configured cap of an exhaustive search."""
+    """Input size above the size cap of an exhaustive search."""
 
 
 class BudgetExceededError(ValueError):
-    """Requested size or depth above the brute-force budget."""
+    """Requested size or depth above the counting budget."""
 
 
 class NotInvolvedError(ValueError):
@@ -42,7 +42,7 @@ class NotInvolvedError(ValueError):
 
 
 class GFMismatchError(AssertionError):
-    """A generating-function expansion disagrees with brute-force counts."""
+    """A generating-function expansion disagrees with the avoider counts."""
 
     def __init__(self, pattern, index, expected, actual):
         super().__init__(

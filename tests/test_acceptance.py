@@ -67,14 +67,14 @@ def test_criterion_2_wilf_groups_coincide_with_canonical_groups():
     for cid in ClassId:
         for n in range(1, 9):
             result = wilf_classes(cid, n, 16)
-            brute = {frozenset(g.members) for g in result.groups}
+            brute = {frozenset(g.members) for g in result}
             canon = {frozenset(g) for g in canonical_groups(cid, n)}
             if brute != canon:
                 failures.append((cid.value, n, "groups differ"))
                 continue
             expected = canonical_class_count(cid, n)
-            if result.w_n != expected:
-                failures.append((cid.value, n, f"w={result.w_n} != {expected}"))
+            if len(result) != expected:
+                failures.append((cid.value, n, f"w={len(result)} != {expected}"))
     report(2, "Wilf groups = canonical groups, n<=8, depth 16", not failures,
            "; ".join(map(str, failures)))
     assert not failures

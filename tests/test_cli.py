@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from wilfcollapse import engine
 from wilfcollapse.cli import run
+from wilfcollapse.encodings import ClassId
 
 
 def capture(capsys):
@@ -122,6 +124,28 @@ def test_enumerate(capsys):
     assert len(out.splitlines()) == 5
 
 
+def test_verify_failure_lines(monkeypatch, capsys):
+    # deterministic fake counts that break every check: c3 patterns count by
+    # their first part, every c1 pattern counts the same
+    def fake_counts(class_id, pattern, depth):
+        if class_id is ClassId.AV_312_123:
+            return (1,) * (depth + 1)
+        return (pattern[0],) * (depth + 1)
+
+    monkeypatch.setattr(engine, "count_avoiders", fake_counts)
+    assert run(["verify", "--class", "c3", "--n", "4", "--depth", "10"]) == 1
+    out, _ = capture(capsys)
+    assert out == (
+        "check,result\n"
+        "soundness,3 violations\n"
+        "completeness,1 unseparated\n"
+        "gf_crosscheck,failed: pattern (1, 1, 1, 1): coefficient 2 is 2, brute force gives 1\n"
+    )
+    assert run(["verify", "--class", "c1", "--n", "4", "--depth", "10"]) == 1
+    out, _ = capture(capsys)
+    assert out == "check,result\nwilf_count,1 != 2\n"
+
+
 def test_verify_ok_and_usage_error(capsys):
     assert run(["verify", "--class", "c4", "--n", "3", "--depth", "10"]) == 0
     capture(capsys)
@@ -206,3 +230,9 @@ def test_config_file_defaults(tmp_path, capsys):
     out, _ = capture(capsys)
     assert code == 0
     assert out.endswith("3,4,2,2\n")
+    # the --config=PATH form is read too
+    code = run(["classify", "--config=" + str(config), "--class", "c3", "--n", "4",
+                "--format", "json"])
+    out, _ = capture(capsys)
+    assert code == 0
+    assert json.loads(out)["depth"] == 12

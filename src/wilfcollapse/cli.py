@@ -24,7 +24,7 @@ from .canonical import (
     format_canonical_pair,
     format_canonical_partition,
 )
-from .encodings import ClassId, format_element, generate, parse_element, to_permutation
+from .encodings import ClassId, decode_function, format_function, generate, parse_element
 from .engine import (
     MAX_DEPTH,
     MAX_PATTERN_SIZE,
@@ -138,12 +138,19 @@ def _check_size_and_depth(args) -> None:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice key=value pairs from a --config PATH or --config=PATH file in as defaults."""
+    """
+    Splice key=value pairs from a --config file in as defaults.  The flag is
+    found as argparse finds it: --config or any prefix argparse may take for
+    it (down to --c), followed by PATH or by =PATH.
+    """
     for at, token in enumerate(argv):
-        if token.startswith("--config="):
-            path = token.partition("=")[2]
+        flag, eq, value = token.partition("=")
+        if len(flag) < 3 or not "--config".startswith(flag):
+            continue
+        if eq:
+            path = value
             break
-        if token == "--config" and at + 1 < len(argv):
+        if at + 1 < len(argv):
             path = argv[at + 1]
             break
     else:
@@ -182,19 +189,18 @@ _COLLAPSE_HEADER = [f.name for f in fields(CollapseRow)]
 def _cmd_enumerate(args) -> int:
     class_id = args.class_id
     elements = generate(class_id, args.n)
+    fmt = format_function(class_id)
     if args.format == "json":
         payload = {
             "class": class_id.value,
             "n": args.n,
             "count": len(elements),
-            "elements": [format_element(class_id, e) for e in elements],
+            "elements": [fmt(e) for e in elements],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        rows = [
-            [format_element(class_id, e), format_perm(to_permutation(class_id, e))]
-            for e in elements
-        ]
+        decode = decode_function(class_id)
+        rows = [(fmt(e), format_perm(decode(e))) for e in elements]
         _emit(_csv_text(["element", "permutation"], rows), args.out)
     return 0
 
@@ -204,15 +210,13 @@ def _cmd_classify(args) -> int:
     groups = wilf_classes(class_id, args.n, args.depth)
     row = collapse_row(class_id, args.n, groups)
     if args.format == "json":
+        fmt = format_function(class_id)
         payload = {
             "class": class_id.value,
             "depth": args.depth,
             **asdict(row),
             "groups": [
-                {
-                    "members": [format_element(class_id, m) for m in g.members],
-                    "counts": list(g.counts),
-                }
+                {"members": [fmt(m) for m in g.members], "counts": list(g.counts)}
                 for g in groups
             ],
         }

@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import BasisViolationError, ParseError
-from .perms import Perm, direct_sum_all, involves, sum_decompose
+from .perms import Perm, involves, sum_decompose
 
 Triple = tuple[int, int, int]
 WedgeWord = Optional[str]
@@ -95,52 +95,44 @@ def size_of(class_id: ClassId, e: ClassElement) -> int:
 # ---------------------------------------------------------------------------
 # Generation
 
-def _sum_words(n: int, after_run: bool = False) -> Iterator[SumWord]:
-    if n == 0:
-        yield ()
-        return
-    if not after_run:
-        for i in range(1, n + 1):
-            for rest in _sum_words(n - i, True):
-                yield (-i,) + rest
-    for j in range(2, n + 1):
-        for rest in _sum_words(n - j, False):
-            yield (j,) + rest
-
-
-def _compositions(n: int) -> Iterator[Composition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def generate(class_id: ClassId, n: int) -> tuple[ClassElement, ...]:
     """
     All class members of size n in the native encoding, lexicographically
     ordered by encoding, without duplicates.
+
+    Compositions and sum words are built size by size from 0 up to n, each
+    size's table listing its first letters in ascending order over the
+    smaller tables, so every table comes out lexicographic with no sort and
+    each member costs one tuple of its length.  The smaller tables are
+    dropped on return; only the size-n result is cached.
     """
     if n < 0:
         raise ValueError("size must be non-negative")
     if class_id is ClassId.AV_312_123:
-        if n == 0:
-            return ((0, 0, 0),)
-        corners = [
-            (a, b, n - a - b)
-            for a in range(1, n)
-            for b in range(1, n - a + 1)
-        ]
-        return tuple(sorted([(0, 0, n)] + corners))
+        corners = ((a, b, n - a - b) for a in range(1, n) for b in range(1, n - a + 1))
+        return ((0, 0, n), *corners)
     if class_id is ClassId.AV_312_213:
         if n == 0:
             return (None,)
         return tuple("".join(s) for s in itertools.product("LR", repeat=n - 1))
     if class_id is ClassId.AV_312_231:
-        return tuple(sorted(_compositions(n)))
-    return tuple(sorted(_sum_words(n)))
+        compositions: list[list[Composition]] = [[()]]
+        for m in range(1, n + 1):
+            compositions.append(
+                [(first,) + rest for first in range(1, m + 1) for rest in compositions[m - first]]
+            )
+        return tuple(compositions[n])
+    # no_run[m]: sum words of size m not starting with a run letter;
+    # words[m]: all sum words of size m (run letters -m..-1 sort first)
+    no_run: list[list[SumWord]] = [[()]]
+    words: list[list[SumWord]] = [[()]]
+    for m in range(1, n + 1):
+        no_run.append([(j,) + rest for j in range(2, m + 1) for rest in words[m - j]])
+        words.append(
+            [(-i,) + rest for i in range(m, 0, -1) for rest in no_run[m - i]] + no_run[m]
+        )
+    return tuple(words[n])
 
 
 # ---------------------------------------------------------------------------
@@ -155,40 +147,56 @@ def _triple_to_perm(e: Triple) -> Perm:
 
 
 def _wedge_to_perm(e: WedgeWord) -> Perm:
+    # Step i (outermost first) adds the value i; the first point is the
+    # maximum.  L steps stand left of it in order, R steps right of it in
+    # reverse order.
     if e is None:
         return ()
-    perm: Perm = (1,)
-    for step in reversed(e):
-        if step == "L":
-            perm = (1,) + tuple(v + 1 for v in perm)
-        else:
-            perm = tuple(v + 1 for v in perm) + (1,)
-    return perm
+    left = [i for i, step in enumerate(e, 1) if step == "L"]
+    right = [i for i, step in enumerate(e, 1) if step == "R"]
+    return (*left, len(e) + 1, *reversed(right))
 
 
 def _composition_to_perm(e: Composition) -> Perm:
-    return direct_sum_all(tuple(range(part, 0, -1)) for part in e)
-
-
-def _letter_to_perm(letter: int) -> Perm:
-    if letter < 0:
-        return tuple(range(1, -letter + 1))
-    return tuple(range(2, letter + 1)) + (1,)
+    perm: list[int] = []
+    top = 0
+    for part in e:
+        perm.extend(range(top + part, top, -1))
+        top += part
+    return tuple(perm)
 
 
 def _sum_word_to_perm(e: SumWord) -> Perm:
-    return direct_sum_all(_letter_to_perm(letter) for letter in e)
+    # run letter -i: base+1 .. base+i; drop letter j: base+2 .. base+j, base+1
+    perm: list[int] = []
+    base = 0
+    for letter in e:
+        if letter < 0:
+            perm.extend(range(base + 1, base - letter + 1))
+            base -= letter
+        else:
+            perm.extend(range(base + 2, base + letter + 1))
+            perm.append(base + 1)
+            base += letter
+    return tuple(perm)
+
+
+_DECODE = {
+    ClassId.AV_312_123: _triple_to_perm,
+    ClassId.AV_312_213: _wedge_to_perm,
+    ClassId.AV_312_231: _composition_to_perm,
+    ClassId.AV_312_321: _sum_word_to_perm,
+}
 
 
 def to_permutation(class_id: ClassId, e: ClassElement) -> Perm:
     validate_element(class_id, e)
-    if class_id is ClassId.AV_312_123:
-        return _triple_to_perm(e)
-    if class_id is ClassId.AV_312_213:
-        return _wedge_to_perm(e)
-    if class_id is ClassId.AV_312_231:
-        return _composition_to_perm(e)
-    return _sum_word_to_perm(e)
+    return _DECODE[class_id](e)
+
+
+def decode_function(class_id: ClassId):
+    """The raw decoder for a class, for members of generate; it validates nothing."""
+    return _DECODE[class_id]
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +421,38 @@ def sum_word_concat(x: SumWord, y: SumWord) -> SumWord:
 # ---------------------------------------------------------------------------
 # Text formats
 
+def _format_triple(e: Triple) -> str:
+    return "t:{},{},{}".format(*e)
+
+
+def _format_wedge(e: WedgeWord) -> str:
+    return "e" if e is None else e
+
+
+def _format_composition(e: Composition) -> str:
+    return "+".join(map(str, e)) if e else "e"
+
+
+def _format_sum_word(e: SumWord) -> str:
+    return " ".join([f"a{-v}" if v < 0 else f"b{v}" for v in e]) if e else "e"
+
+
+_FORMAT = {
+    ClassId.AV_312_123: _format_triple,
+    ClassId.AV_312_213: _format_wedge,
+    ClassId.AV_312_231: _format_composition,
+    ClassId.AV_312_321: _format_sum_word,
+}
+
+
 def format_element(class_id: ClassId, e: ClassElement) -> str:
     validate_element(class_id, e)
-    if class_id is ClassId.AV_312_123:
-        return "t:{},{},{}".format(*e)
-    if class_id is ClassId.AV_312_213:
-        return "e" if e is None else e
-    if class_id is ClassId.AV_312_231:
-        return "+".join(str(v) for v in e) if e else "e"
-    if not e:
-        return "e"
-    return " ".join(f"a{-v}" if v < 0 else f"b{v}" for v in e)
+    return _FORMAT[class_id](e)
+
+
+def format_function(class_id: ClassId):
+    """The raw text formatter for a class, for members of generate; it validates nothing."""
+    return _FORMAT[class_id]
 
 
 def parse_element(class_id: ClassId, text: str) -> ClassElement:

@@ -50,7 +50,7 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(p: Perm) -> str:
-    return ",".join(str(v) for v in p) if p else "e"
+    return ",".join(map(str, p)) if p else "e"
 
 
 def pattern_of(values: Sequence[int]) -> Perm:

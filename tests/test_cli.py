@@ -236,3 +236,26 @@ def test_config_file_defaults(tmp_path, capsys):
     out, _ = capture(capsys)
     assert code == 0
     assert json.loads(out)["depth"] == 12
+
+
+
+@pytest.mark.parametrize("flag, joined", [("--conf", False), ("--co", False), ("--confi", True)])
+def test_config_flag_prefixes_read_the_file(tmp_path, capsys, flag, joined):
+    # argparse takes a unique prefix of --config; the file's defaults apply alike
+    config = tmp_path / "run.conf"
+    config.write_text("depth=12\n")
+    config_args = [f"{flag}={config}"] if joined else [flag, str(config)]
+    code = run(["classify", *config_args, "--class", "c3", "--n", "4", "--format", "json"])
+    out, _ = capture(capsys)
+    assert code == 0
+    assert json.loads(out)["depth"] == 12
+
+
+def test_config_flag_c_prefix_where_no_class_option(tmp_path, capsys):
+    # roots has no --class, so argparse takes --c for --config there
+    config = tmp_path / "run.conf"
+    config.write_text("format=json\n")
+    code = run(["roots", "--c", str(config), "--family", "q", "--max-n", "1"])
+    out, _ = capture(capsys)
+    assert code == 0
+    assert json.loads(out)[0]["kind"] == "lis"

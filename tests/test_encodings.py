@@ -8,7 +8,9 @@ from wilfcollapse.encodings import (
     ClassId,
     avoiding_elements,
     class_leq,
+    decode_function,
     format_element,
+    format_function,
     from_permutation,
     generate,
     parse_element,
@@ -18,7 +20,7 @@ from wilfcollapse.encodings import (
     validate_element,
 )
 from wilfcollapse.errors import BasisViolationError, ParseError
-from wilfcollapse.perms import involves
+from wilfcollapse.perms import direct_sum, direct_sum_all, involves, skew_sum
 
 ALL_CLASSES = list(ClassId)
 
@@ -28,14 +30,69 @@ def elements_up_to(cid, n):
 
 
 def test_cardinalities():
-    for n in range(13):
-        assert len(generate(ClassId.AV_312_123, n)) == (
-            1 if n == 0 else n * (n - 1) // 2 + 1
-        )
-    for cid in (ClassId.AV_312_213, ClassId.AV_312_231, ClassId.AV_312_321):
-        assert len(generate(cid, 0)) == 1
-        for n in range(1, 13):
-            assert len(generate(cid, n)) == 2 ** (n - 1), (cid, n)
+    # generate builds its tables in order and never sorts: check both here
+    for cid in ALL_CLASSES:
+        for n in range(17):
+            members = generate(cid, n)
+            if cid is ClassId.AV_312_123:
+                expected = 1 if n == 0 else n * (n - 1) // 2 + 1
+            else:
+                expected = 1 if n == 0 else 2 ** (n - 1)
+            assert len(members) == expected, (cid, n)
+            assert all(x < y for x, y in zip(members, members[1:])), (cid, n)
+
+
+def _decreasing(k):
+    return tuple(range(k, 0, -1))
+
+
+def _wedge_by_steps(e):
+    # the defining construction: grow from one point, innermost step first,
+    # L prepending a new minimum and R appending one
+    if e is None:
+        return ()
+    perm = (1,)
+    for step in reversed(e):
+        shifted = tuple(v + 1 for v in perm)
+        perm = (1,) + shifted if step == "L" else shifted + (1,)
+    return perm
+
+
+def _sum_letter(letter):
+    if letter < 0:
+        return tuple(range(1, -letter + 1))
+    return tuple(range(2, letter + 1)) + (1,)
+
+
+REFERENCE_DECODE = {
+    ClassId.AV_312_123: lambda e: skew_sum(
+        direct_sum(_decreasing(e[0]), _decreasing(e[1])), _decreasing(e[2])
+    ),
+    ClassId.AV_312_213: _wedge_by_steps,
+    ClassId.AV_312_231: lambda e: direct_sum_all(_decreasing(part) for part in e),
+    ClassId.AV_312_321: lambda e: direct_sum_all(_sum_letter(letter) for letter in e),
+}
+
+
+def test_raw_decoder_and_formatter_match_the_definitions():
+    for cid in ALL_CLASSES:
+        decode, fmt = decode_function(cid), format_function(cid)
+        for e in elements_up_to(cid, 10):
+            assert decode(e) == REFERENCE_DECODE[cid](e), (cid, e)
+            assert fmt(e) == format_element(cid, e), (cid, e)
+
+
+@pytest.mark.parametrize("cid, bad", [
+    (ClassId.AV_312_123, (1, 0, 2)),
+    (ClassId.AV_312_213, "LRX"),
+    (ClassId.AV_312_231, (2, 0)),
+    (ClassId.AV_312_321, (-1, -1)),
+])
+def test_public_format_and_decode_validate(cid, bad):
+    with pytest.raises(ValueError):
+        format_element(cid, bad)
+    with pytest.raises(ValueError):
+        to_permutation(cid, bad)
 
 
 def test_generated_permutations_distinct_and_in_class():

@@ -29,8 +29,8 @@ from .encodings import (
     WedgeWord,
     avoiding_elements,
     class_leq,
+    scan_automaton,
     size_of,
-    sum_word_concat,
     validate_element,
 )
 from .errors import CapExceededError, NotInvolvedError, PreconditionError
@@ -50,6 +50,7 @@ def canonical_partition(comp: Composition) -> tuple[int, ...]:
     >>> canonical_partition((3, 2, 1))
     (3, 1, 1, 1)
     """
+    validate_element(ClassId.AV_312_231, comp)
     parts: list[int] = []
     for p in comp:
         if p == 2:
@@ -103,15 +104,16 @@ def canonical_pair(word: SumWord) -> PartitionPair:
 
 def canonical_key(class_id: ClassId, element) -> tuple:
     """A hashable key constant on each equivalence class of same-size patterns."""
+    if class_id is ClassId.AV_312_231:
+        return canonical_partition(element)
+    if class_id is ClassId.AV_312_321:
+        pair = canonical_pair(element)
+        return (pair.b_parts, pair.a_parts)
+    validate_element(class_id, element)
     if class_id is ClassId.AV_312_123:
         a, b, _ = element
         return ("decreasing",) if a == 0 and b == 0 else ("mixed",)
-    if class_id is ClassId.AV_312_213:
-        return ()
-    if class_id is ClassId.AV_312_231:
-        return canonical_partition(element)
-    pair = canonical_pair(element)
-    return (pair.b_parts, pair.a_parts)
+    return ()
 
 
 def format_canonical_partition(parts: tuple[int, ...]) -> str:
@@ -213,6 +215,37 @@ def _sum_word_local_rewrites(w: SumWord) -> Iterator[SumWord]:
             yield w[:i] + (2, w[i + 1]) + w[i + 3 :]
 
 
+def _search(start, neighbours: Callable) -> frozenset:
+    """Everything reachable from start through neighbours, breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for r in neighbours(w):
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _sum_word_neighbours(w: SumWord) -> Iterator[SumWord]:
+    yield from _sum_word_local_rewrites(w)
+    n = len(w)
+    for start in range(n):
+        for end in range(start + 1, n + 1):
+            if start == 0 and end == n:
+                continue
+            inner = w[start:end]
+            for replacement in _sum_word_closure(inner):
+                if replacement == inner:
+                    continue
+                lifted = w[:start] + replacement + w[end:]
+                if _valid_word(lifted):
+                    yield lifted
+
+
 _SUM_WORD_CLOSURES: dict[SumWord, frozenset] = {}
 
 
@@ -228,49 +261,10 @@ def _sum_word_closure(word: SumWord) -> frozenset:
     cached = _SUM_WORD_CLOSURES.get(word)
     if cached is not None:
         return cached
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            candidates = list(_sum_word_local_rewrites(w))
-            n = len(w)
-            for start in range(n):
-                for end in range(start + 1, n + 1):
-                    if start == 0 and end == n:
-                        continue
-                    inner = w[start:end]
-                    for replacement in _sum_word_closure(inner):
-                        if replacement == inner:
-                            continue
-                        lifted = w[:start] + replacement + w[end:]
-                        if _valid_word(lifted):
-                            candidates.append(lifted)
-            for r in candidates:
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    result = frozenset(seen)
+    result = _search(word, _sum_word_neighbours)
     for member in result:
         _SUM_WORD_CLOSURES[member] = result
     return result
-
-
-def _composition_closure(comp: Composition) -> frozenset:
-    # part order and the 2 <-> 1,1 trade are unrestricted, so in-place
-    # substring rewriting already realizes the full congruence
-    seen = {comp}
-    frontier = [comp]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for r in _composition_rewrites(w):
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return frozenset(seen)
 
 
 CLOSURE_CAP = 12  # largest element size whose closure is searched
@@ -290,7 +284,9 @@ def rewrite_closure(class_id: ClassId, element) -> frozenset:
             f"element size {size_of(class_id, element)} above cap {CLOSURE_CAP}"
         )
     if class_id is ClassId.AV_312_231:
-        return _composition_closure(element)
+        # part order and the 2 <-> 1,1 trade are unrestricted, so in-place
+        # substring rewriting already realizes the full congruence
+        return _search(element, _composition_rewrites)
     return _sum_word_closure(element)
 
 
@@ -340,29 +336,41 @@ def greedy_factorize(class_id: ClassId, word, prefix_pattern, suffix_pattern):
 def wedge_bijection(pi: WedgeWord, tau: WedgeWord, s: WedgeWord) -> WedgeWord:
     """
     The size-preserving bijection from wedge avoiders of pi onto wedge
-    avoiders of tau, for patterns of equal size.  Defined recursively: when
-    the head of s matches the head of pi, recurse with both pattern heads
-    removed, otherwise keep the pattern; the emitted step is flipped exactly
-    when the pattern heads disagree.
+    avoiders of tau, for patterns of equal size.  One greedy scan of s
+    against pi: each step of s is emitted flipped exactly when pi and tau
+    disagree at the number of pattern steps matched so far.
     """
     if pi is None or tau is None or len(pi) != len(tau):
         raise PreconditionError("patterns must be nonempty and of equal size")
     if class_leq(ClassId.AV_312_213, pi, s):
         raise PreconditionError(f"{s!r} involves the pattern {pi!r}")
+    if s is None:
+        return s
+    scan, matched, _ = scan_automaton(ClassId.AV_312_213, pi)
+    out = []
+    for step in s:
+        # s avoids pi, so matched stays below len(pi)
+        out.append(step if pi[matched] == tau[matched] else "R" if step == "L" else "L")
+        matched = scan(pi, step, matched)
+    return "".join(out)
 
-    def go(pi: str, tau: str, s: WedgeWord) -> WedgeWord:
-        if s is None or s == "":
-            return s
-        assert pi, "a nonempty avoider always leaves pattern to match"
-        head = s[0]
-        out = head
-        if pi[0] != tau[0]:
-            out = "R" if head == "L" else "L"
-        if head == pi[0]:
-            return out + go(pi[1:], tau[1:], s[1:])
-        return out + go(pi, tau, s[1:])
 
-    return go(pi, tau, s)
+def _lift(class_id: ClassId, P, A, Q, S, rewrite: Callable):
+    """
+    The context construction behind the layered and sum-word bijections.
+    For S avoiding P+A+Q: an avoider of P+Q is fixed; otherwise S is split
+    by greedy_factorize into the shortest prefix involving P, a middle and
+    the shortest suffix involving Q, and the middle is rewritten.  P + Q
+    must be an element of the class, as context_bijection's junction check
+    ensures for sum words.
+    """
+    pattern = P + A + Q
+    if class_leq(class_id, pattern, S):
+        raise PreconditionError(f"{S!r} involves the pattern {pattern!r}")
+    if not class_leq(class_id, P + Q, S):
+        return S
+    prefix, middle, suffix = greedy_factorize(class_id, S, P, Q)
+    return prefix + rewrite(middle) + suffix
 
 
 def swap_parts_bijection(
@@ -372,13 +380,7 @@ def swap_parts_bijection(
     Bijection from layered avoiders of P+(a,b)+Q onto avoiders of P+(b,a)+Q:
     avoiders of P..Q are fixed, otherwise the middle factor is reversed.
     """
-    pattern = P + (a, b) + Q
-    if class_leq(ClassId.AV_312_231, pattern, S):
-        raise PreconditionError(f"{S!r} involves the pattern {pattern!r}")
-    if not class_leq(ClassId.AV_312_231, P + Q, S):
-        return S
-    prefix, middle, suffix = greedy_factorize(ClassId.AV_312_231, S, P, Q)
-    return prefix + middle[::-1] + suffix
+    return _lift(ClassId.AV_312_231, P, (a, b), Q, S, lambda middle: middle[::-1])
 
 
 def merge_ones_bijection(P: Composition, Q: Composition, S: Composition) -> Composition:
@@ -387,16 +389,12 @@ def merge_ones_bijection(P: Composition, Q: Composition, S: Composition) -> Comp
     avoiders of P..Q are fixed, otherwise the middle factor, necessarily a
     block of 1s, collapses to a single part of the same total.
     """
-    pattern = P + (2,) + Q
-    if class_leq(ClassId.AV_312_231, pattern, S):
-        raise PreconditionError(f"{S!r} involves the pattern {pattern!r}")
-    if not class_leq(ClassId.AV_312_231, P + Q, S):
-        return S
-    prefix, middle, suffix = greedy_factorize(ClassId.AV_312_231, S, P, Q)
-    assert all(v == 1 for v in middle), "middle of a (2)-avoider is all 1s"
-    if not middle:
-        return S
-    return prefix + (len(middle),) + suffix
+
+    def merge(middle: Composition) -> Composition:
+        assert all(v == 1 for v in middle), "middle of a (2)-avoider is all 1s"
+        return (len(middle),) if middle else ()
+
+    return _lift(ClassId.AV_312_231, P, (2,), Q, S, merge)
 
 
 def matched_avoider_bijection(class_id: ClassId, old, new) -> Callable:
@@ -449,13 +447,6 @@ def context_bijection(
         raise PreconditionError(
             "context must meet the middle with drop letters"
         )
-    pattern = P + A + Q
-    if class_leq(ClassId.AV_312_321, pattern, W):
-        raise PreconditionError(f"{W!r} involves the pattern {pattern!r}")
-    if not class_leq(ClassId.AV_312_321, sum_word_concat(P, Q), W):
-        return W
-    prefix, middle, suffix = greedy_factorize(ClassId.AV_312_321, W, P, Q)
-    mapped = inner(middle)
-    result = prefix + mapped + suffix
+    result = _lift(ClassId.AV_312_321, P, A, Q, W, inner)
     validate_element(ClassId.AV_312_321, result)
     return result

@@ -140,20 +140,16 @@ def _check_size_and_depth(args) -> None:
 def _apply_config(argv: list[str]) -> list[str]:
     """
     Splice key=value pairs from a --config file in as defaults.  The flag is
-    found as argparse finds it: --config or any prefix argparse may take for
-    it (down to --c), followed by PATH or by =PATH.
+    found by argparse, so every spelling it takes for --config is read; a
+    --config without PATH is left for the subcommand's parser to report.
     """
-    for at, token in enumerate(argv):
-        flag, eq, value = token.partition("=")
-        if len(flag) < 3 or not "--config".startswith(flag):
-            continue
-        if eq:
-            path = value
-            break
-        if at + 1 < len(argv):
-            path = argv[at + 1]
-            break
-    else:
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return argv
+    if path is None:
         return argv
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -328,6 +324,9 @@ def run(argv: list[str]) -> int:
         args.class_id = ClassId(args.class_id)
     try:
         return _COMMANDS[args.command](args)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1

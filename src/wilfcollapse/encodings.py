@@ -227,18 +227,12 @@ def _triple_from_perm(p: Perm) -> Triple:
 
 
 def _wedge_from_perm(p: Perm) -> WedgeWord:
+    # inverse of _wedge_to_perm: step i is L exactly when the value i
+    # stands left of the maximum
     if not p:
         return None
-    steps = []
-    current = p
-    while len(current) > 1:
-        if current[0] == 1:
-            steps.append("L")
-            current = tuple(v - 1 for v in current[1:])
-        else:
-            steps.append("R")
-            current = tuple(v - 1 for v in current[:-1])
-    return "".join(steps)
+    left = set(p[: p.index(len(p))])
+    return "".join("L" if i in left else "R" for i in range(1, len(p)))
 
 
 def _composition_from_perm(p: Perm) -> Composition:
@@ -409,13 +403,6 @@ def avoiding_elements(class_id: ClassId, pattern: ClassElement, n: int) -> tuple
     """Class members of size n avoiding the given pattern, in generation order."""
     leq = leq_function(class_id)
     return tuple(e for e in generate(class_id, n) if not leq(pattern, e))
-
-
-def sum_word_concat(x: SumWord, y: SumWord) -> SumWord:
-    """Concatenate two sum words, merging runs that meet at the junction."""
-    if x and y and x[-1] < 0 and y[0] < 0:
-        return x[:-1] + (x[-1] + y[0],) + y[1:]
-    return x + y
 
 
 # ---------------------------------------------------------------------------

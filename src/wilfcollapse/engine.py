@@ -251,8 +251,8 @@ def gf_crosscheck(class_id: ClassId, n: int, depth: int) -> int:
     for pattern in generate(class_id, n):
         expansion = avoid_gf(class_id, pattern).expand(depth).integers()
         counts = count_avoiders(class_id, pattern, depth)
-        for k, (a, b) in enumerate(zip(counts, expansion)):
-            if a != b:
-                raise GFMismatchError(pattern, k, a, b)
+        k = _first_difference(counts, expansion)
+        if k is not None:
+            raise GFMismatchError(pattern, k, counts[k], expansion[k])
         checked += 1
     return checked

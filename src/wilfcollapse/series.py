@@ -108,8 +108,8 @@ class Poly:
         """Divided by the gcd of its coefficients, with a positive leading coefficient."""
         if self.is_zero():
             return self
-        content = math.gcd(*self.coeffs)
-        return self.divmod(Poly.of(content if self.coeffs[-1] > 0 else -content))[0]
+        content = math.gcd(*self.coeffs) * (1 if self.coeffs[-1] > 0 else -1)
+        return Poly(tuple(c // content for c in self.coeffs))
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -41,6 +41,22 @@ def test_canonical_pair_examples():
     assert canonical_pair(()) == PartitionPair((), ())
 
 
+@pytest.mark.parametrize(
+    "canonical, element",
+    [
+        (canonical_partition, (0, -1)),
+        (lambda e: canonical_key(ClassId.AV_312_123, e), (1, 0, 3)),
+        (lambda e: canonical_key(ClassId.AV_312_213, e), 5),
+        (lambda e: canonical_key(C3, e), (2, 0)),
+    ],
+    ids=["partition-c3", "key-c1", "key-c2", "key-c3"],
+)
+def test_canonical_forms_validate_their_element(canonical, element):
+    # canonical_pair validates already, and so canonical_key for c4
+    with pytest.raises(ValueError):
+        canonical(element)
+
+
 def test_pair_validation():
     with pytest.raises(ValueError):
         PartitionPair((2,), (1, 1))

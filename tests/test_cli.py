@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wilfcollapse
 from wilfcollapse import engine
 from wilfcollapse.cli import run
 from wilfcollapse.encodings import ClassId
@@ -187,6 +192,8 @@ def test_verify_ok_and_usage_error(capsys):
         ["gf", "--class", "c2", "--pattern", "LR"],
         # layered root indices start at 2
         ["roots", "--family", "layered", "--max-n", "1"],
+        # --config without its PATH
+        ["classify", "--class", "c3", "--n", "3", "--config"],
     ],
 )
 def test_out_of_domain_arguments_are_usage_errors(argv, capsys):
@@ -216,6 +223,31 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "n,c_n,w_n,canonical_count"
+
+
+UNWRITABLE = ["report", "--class", "c2", "--max-n", "3", "--depth", "8", "--out"]
+
+
+def test_unwritable_out_file(tmp_path, capsys):
+    code = run([*UNWRITABLE, str(tmp_path / "missing" / "x.csv")])
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot write output: ") and "Traceback" not in err
+
+
+def test_module_entry_point_reports_unwritable_out_file(tmp_path):
+    src = str(Path(wilfcollapse.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "wilfcollapse", *UNWRITABLE, str(tmp_path / "missing" / "x.csv")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("cannot write output: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_config_file_defaults(tmp_path, capsys):

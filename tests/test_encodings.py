@@ -15,7 +15,6 @@ from wilfcollapse.encodings import (
     generate,
     parse_element,
     size_of,
-    sum_word_concat,
     to_permutation,
     validate_element,
 )
@@ -185,12 +184,6 @@ def test_size_of():
 def test_avoiding_elements():
     assert avoiding_elements(ClassId.AV_312_231, (2,), 4) == ((1, 1, 1, 1),)
     assert len(avoiding_elements(ClassId.AV_312_321, (2,), 5)) == 1
-
-
-def test_sum_word_concat_merges_runs():
-    assert sum_word_concat((2, -1), (-2, 3)) == (2, -3, 3)
-    assert sum_word_concat((2,), (3,)) == (2, 3)
-    assert sum_word_concat((), (-1,)) == (-1,)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .encodings import (
     WedgeWord,
     avoiding_elements,
     class_leq,
+    runs_apart,
     scan_automaton,
     size_of,
     validate_element,
@@ -188,15 +189,11 @@ def _composition_rewrites(w: Composition) -> Iterator[Composition]:
             yield w[:i] + (2,) + w[i + 2 :]
 
 
-def _valid_word(w: SumWord) -> bool:
-    return all(not (x < 0 and y < 0) for x, y in zip(w, w[1:]))
-
-
 def _sum_word_local_rewrites(w: SumWord) -> Iterator[SumWord]:
     n = len(w)
     for i in range(n - 1):
         swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-        if _valid_word(swapped):
+        if runs_apart(swapped):
             yield swapped
     for i in range(n - 2):
         if w[i] < 0 and w[i + 1] > 0 and w[i + 2] < 0 and w[i] != w[i + 2]:
@@ -204,7 +201,7 @@ def _sum_word_local_rewrites(w: SumWord) -> Iterator[SumWord]:
     for i in range(n - 1):
         if w[i] == 2 and w[i + 1] > 0:
             candidate = w[:i] + (-1, w[i + 1], -1) + w[i + 2 :]
-            if _valid_word(candidate):
+            if runs_apart(candidate):
                 yield candidate
         if (
             i + 2 < n
@@ -242,7 +239,7 @@ def _sum_word_neighbours(w: SumWord) -> Iterator[SumWord]:
                 if replacement == inner:
                     continue
                 lifted = w[:start] + replacement + w[end:]
-                if _valid_word(lifted):
+                if runs_apart(lifted):
                     yield lifted
 
 

@@ -22,7 +22,6 @@ that agrees with permutation involvement on decoded elements:
 """
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Union
@@ -60,7 +59,9 @@ class ClassId(Enum):
 
 def validate_element(class_id: ClassId, e: ClassElement) -> None:
     if class_id is ClassId.AV_312_123:
-        if not (isinstance(e, tuple) and len(e) == 3 and all(v >= 0 for v in e)):
+        if not (
+            isinstance(e, tuple) and len(e) == 3 and all(isinstance(v, int) and v >= 0 for v in e)
+        ):
             raise ValueError(f"not a corner triple: {e!r}")
         a, b, _ = e
         if (a == 0) != (b == 0):
@@ -79,9 +80,13 @@ def validate_element(class_id: ClassId, e: ClassElement) -> None:
         for v in e:
             if v > 0 and v < 2:
                 raise ValueError(f"drop letter below 2 in {e!r}")
-        for x, y in zip(e, e[1:]):
-            if x < 0 and y < 0:
-                raise ValueError(f"adjacent run letters in {e!r}")
+        if not runs_apart(e):
+            raise ValueError(f"adjacent run letters in {e!r}")
+
+
+def runs_apart(word: SumWord) -> bool:
+    """The rule of sum words: no run letter follows a run letter."""
+    return all(x >= 0 or y >= 0 for x, y in zip(word, word[1:]))
 
 
 def size_of(class_id: ClassId, e: ClassElement) -> int:
@@ -93,7 +98,27 @@ def size_of(class_id: ClassId, e: ClassElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generation
+# Letters and generation
+
+def letters(class_id: ClassId, max_size: int) -> tuple:
+    """
+    The letters of c2, c3 or c4 up to size max_size, as one-letter words
+    ``(word, size, is_run)`` in increasing word order, so c4's run letters
+    come first.  The class members are the words of these letters that obey
+    runs_apart; a c2 letter is one step of a wedge word and adds one point.
+
+    >>> letters(ClassId.AV_312_321, 3)
+    (((-3,), 3, True), ((-2,), 2, True), ((-1,), 1, True), ((2,), 2, False), ((3,), 3, False))
+    """
+    if class_id is ClassId.AV_312_213:
+        return tuple((step, 1, False) for step in "LR" if max_size >= 1)
+    if class_id is ClassId.AV_312_231:
+        return tuple(((p,), p, False) for p in range(1, max_size + 1))
+    if class_id is ClassId.AV_312_321:
+        runs = tuple(((-i,), i, True) for i in range(max_size, 0, -1))
+        return runs + tuple(((j,), j, False) for j in range(2, max_size + 1))
+    raise ValueError(f"{class_id.value} is not a word class")
+
 
 @lru_cache(maxsize=None)
 def generate(class_id: ClassId, n: int) -> tuple[ClassElement, ...]:
@@ -101,38 +126,32 @@ def generate(class_id: ClassId, n: int) -> tuple[ClassElement, ...]:
     All class members of size n in the native encoding, lexicographically
     ordered by encoding, without duplicates.
 
-    Compositions and sum words are built size by size from 0 up to n, each
-    size's table listing its first letters in ascending order over the
-    smaller tables, so every table comes out lexicographic with no sort and
-    each member costs one tuple of its length.  The smaller tables are
-    dropped on return; only the size-n result is cached.
+    Words are built size by size over ``letters``: no_run[m] holds the words
+    of size m not starting with a run letter, words[m] all of them.  Run
+    letters come first, so every table is lexicographic with no sort, and
+    each member costs one concatenation.  Only the size-n result is cached.
     """
     if n < 0:
         raise ValueError("size must be non-negative")
     if class_id is ClassId.AV_312_123:
         corners = ((a, b, n - a - b) for a in range(1, n) for b in range(1, n - a + 1))
         return ((0, 0, n), *corners)
-    if class_id is ClassId.AV_312_213:
-        if n == 0:
-            return (None,)
-        return tuple("".join(s) for s in itertools.product("LR", repeat=n - 1))
-    if class_id is ClassId.AV_312_231:
-        compositions: list[list[Composition]] = [[()]]
-        for m in range(1, n + 1):
-            compositions.append(
-                [(first,) + rest for first in range(1, m + 1) for rest in compositions[m - first]]
-            )
-        return tuple(compositions[n])
-    # no_run[m]: sum words of size m not starting with a run letter;
-    # words[m]: all sum words of size m (run letters -m..-1 sort first)
-    no_run: list[list[SumWord]] = [[()]]
-    words: list[list[SumWord]] = [[()]]
-    for m in range(1, n + 1):
-        no_run.append([(j,) + rest for j in range(2, m + 1) for rest in words[m - j]])
-        words.append(
-            [(-i,) + rest for i in range(m, 0, -1) for rest in no_run[m - i]] + no_run[m]
+    wedge = class_id is ClassId.AV_312_213
+    if wedge and n == 0:
+        return (None,)
+    size = n - 1 if wedge else n  # a wedge word of size n has n - 1 steps
+    alphabet = letters(class_id, size)
+    no_run: list[list] = [["" if wedge else ()]]
+    words: list[list] = [no_run[0]]
+    for m in range(1, size + 1):
+        no_run.append(
+            [w + rest for w, s, run in alphabet if not run and s <= m for rest in words[m - s]]
         )
-    return tuple(words[n])
+        words.append(
+            [w + rest for w, s, run in alphabet if run and s <= m for rest in no_run[m - s]]
+            + no_run[m]
+        )
+    return tuple(words[size])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +299,8 @@ def from_permutation(class_id: ClassId, p: Perm) -> ClassElement:
 #
 # For c2, c3 and c4 the order test is a greedy left-to-right scan with a
 # small state, written once per class as a resumable scan(pattern, word,
-# state) that returns the state after word (see scan_automaton).
+# state) that returns the state after word.  _SCANS holds each scan with its
+# start state and goal, and both the order test and scan_automaton read it.
 
 def _triple_leq(x: Triple, y: Triple) -> bool:
     a, b, c = x
@@ -300,14 +320,6 @@ def _wedge_scan(x: str, y: str, i: int) -> int:
     return len(x)
 
 
-def _wedge_leq(x: WedgeWord, y: WedgeWord) -> bool:
-    if x is None:
-        return True
-    if y is None:
-        return False
-    return _wedge_scan(x, y, 0) == len(x)
-
-
 def _composition_scan(x: Composition, y: Composition, i: int) -> int:
     # Subword domination, matched greedily left to right.  The state is the
     # number of parts of x matched so far.
@@ -322,10 +334,6 @@ def _composition_scan(x: Composition, y: Composition, i: int) -> int:
                 break
             want = x[i]
     return i
-
-
-def _composition_leq(x: Composition, y: Composition) -> bool:
-    return _composition_scan(x, y, 0) == len(x)
 
 
 def _sum_word_scan(x: SumWord, y: SumWord, state: tuple[int, int]) -> tuple[int, int]:
@@ -360,16 +368,26 @@ def _sum_word_scan(x: SumWord, y: SumWord, state: tuple[int, int]) -> tuple[int,
     return i, need
 
 
-def _sum_word_leq(x: SumWord, y: SumWord) -> bool:
-    return _sum_word_scan(x, y, (0, 0))[0] == len(x)
-
-
-_LEQ = {
-    ClassId.AV_312_123: _triple_leq,
-    ClassId.AV_312_213: _wedge_leq,
-    ClassId.AV_312_231: _composition_leq,
-    ClassId.AV_312_321: _sum_word_leq,
+_SCANS = {
+    ClassId.AV_312_213: (_wedge_scan, 0, len),
+    ClassId.AV_312_231: (_composition_scan, 0, len),
+    ClassId.AV_312_321: (_sum_word_scan, (0, 0), lambda x: (len(x), 0)),
 }
+
+
+def _scan_leq(class_id: ClassId):
+    scan, start, goal = _SCANS[class_id]
+
+    def leq(x, y) -> bool:
+        # c2's empty permutation None is involved in every element
+        if x is None or y is None:
+            return x is None
+        return scan(x, y, start) == goal(x)
+
+    return leq
+
+
+_LEQ = {ClassId.AV_312_123: _triple_leq, **{c: _scan_leq(c) for c in _SCANS}}
 
 
 def class_leq(class_id: ClassId, x: ClassElement, y: ClassElement) -> bool:
@@ -390,13 +408,10 @@ def scan_automaton(class_id: ClassId, pattern: ClassElement) -> tuple:
     the native encoding other than c2's None.  A c2 pattern must not be
     None, which every element involves.
     """
-    if class_id is ClassId.AV_312_213:
-        return _wedge_scan, 0, len(pattern)
-    if class_id is ClassId.AV_312_231:
-        return _composition_scan, 0, len(pattern)
-    if class_id is ClassId.AV_312_321:
-        return _sum_word_scan, (0, 0), (len(pattern), 0)
-    raise ValueError(f"{class_id.value} has no scan automaton")
+    if class_id not in _SCANS:
+        raise ValueError(f"{class_id.value} has no scan automaton")
+    scan, start, goal = _SCANS[class_id]
+    return scan, start, goal(pattern)
 
 
 def avoiding_elements(class_id: ClassId, pattern: ClassElement, n: int) -> tuple:

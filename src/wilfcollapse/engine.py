@@ -30,6 +30,7 @@ from .encodings import (
     ClassId,
     avoiding_elements,
     generate,
+    letters,
     scan_automaton,
     size_of,
     validate_element,
@@ -73,23 +74,6 @@ def _check_budget(n: int | None, depth: int | None) -> None:
         )
 
 
-def _letters(class_id: ClassId, depth: int) -> tuple:
-    """
-    The one-letter words of a class's encoding with size at most depth, as
-    (word, size, is a run letter), in increasing size.  A c2 letter is one
-    step of a wedge word and adds one point.
-    """
-    if class_id is ClassId.AV_312_213:
-        return (("L", 1, False), ("R", 1, False))
-    if class_id is ClassId.AV_312_231:
-        return tuple(((p,), p, False) for p in range(1, depth + 1))
-    return tuple(
-        ((letter,), s, letter < 0)
-        for s in range(1, depth + 1)
-        for letter in ((-s,) if s == 1 else (-s, s))
-    )
-
-
 def _scan_counts(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[int, ...]:
     """
     Numbers of words of size 0..depth whose scan against the pattern stops
@@ -97,7 +81,7 @@ def _scan_counts(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[
     one may not be extended by another.
     """
     scan, start, goal = scan_automaton(class_id, pattern)
-    letters = _letters(class_id, depth)
+    alphabet = letters(class_id, depth)
     # table[m] maps (scan state, last letter is a run) to its number of words
     table: list[dict] = [{} for _ in range(depth + 1)]
     if start != goal:
@@ -109,13 +93,13 @@ def _scan_counts(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[
                 state, after_run = key
                 moves[key] = [
                     (size, (nxt, run))
-                    for word, size, run in letters
+                    for word, size, run in alphabet
                     if not (run and after_run)
                     and (nxt := scan(pattern, word, state)) != goal
                 ]
             for size, nxt in moves[key]:
                 if m + size > depth:
-                    break
+                    continue
                 row = table[m + size]
                 row[nxt] = row.get(nxt, 0) + ways
     return tuple(sum(row.values()) for row in table)
@@ -141,7 +125,7 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
         if pattern is None:
             counts = (0,) * (depth + 1)
         else:
-            counts = (1,) + _scan_counts(class_id, pattern, depth - 1)
+            counts = (1,) + (_scan_counts(class_id, pattern, depth - 1) if depth else ())
     else:
         counts = _scan_counts(class_id, pattern, depth)
     if size_of(class_id, pattern) > 0:

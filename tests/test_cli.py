@@ -177,7 +177,7 @@ def test_verify_ok_and_usage_error(capsys):
         ["verify", "--class", "c1", "--n", "2", "--depth", "2"],
         ["classify", "--class", "c3", "--n", "4", "--depth", "4"],
         ["report", "--class", "c3", "--max-n", "4", "--depth", "4"],
-        # sizes and depths above the brute-force budget
+        # sizes and depths above the counting budget
         ["classify", "--class", "c2", "--n", "9", "--depth", "16"],
         ["classify", "--class", "c2", "--n", "3", "--depth", "19"],
         ["report", "--class", "c3", "--max-n", "9", "--depth", "12"],
@@ -185,7 +185,7 @@ def test_verify_ok_and_usage_error(capsys):
         ["gf", "--class", "c3", "--pattern", "2", "--format", "json"],
         ["canon", "--class", "c4", "--element", "a1 b3 a1", "--format", "json"],
         ["verify", "--class", "c4", "--n", "3", "--depth", "10", "--format", "json"],
-        # an enumerated size above the brute-force depth budget
+        # an enumerated size above the counting depth budget
         ["enumerate", "--class", "c2", "--n", "19"],
         # canonical forms and GFs exist for c3 and c4 only
         ["canon", "--class", "c1", "--element", "t:1,1,0"],

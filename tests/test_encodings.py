@@ -13,7 +13,9 @@ from wilfcollapse.encodings import (
     format_function,
     from_permutation,
     generate,
+    letters,
     parse_element,
+    scan_automaton,
     size_of,
     to_permutation,
     validate_element,
@@ -83,6 +85,7 @@ def test_raw_decoder_and_formatter_match_the_definitions():
 
 @pytest.mark.parametrize("cid, bad", [
     (ClassId.AV_312_123, (1, 0, 2)),
+    (ClassId.AV_312_123, (1.5, 1, 0)),
     (ClassId.AV_312_213, "LRX"),
     (ClassId.AV_312_231, (2, 0)),
     (ClassId.AV_312_321, (-1, -1)),
@@ -147,6 +150,33 @@ def test_wedge_shape():
             peak = p.index(max(p))
             assert all(x < y for x, y in zip(p[: peak + 1], p[1 : peak + 1]))
             assert all(x > y for x, y in zip(p[peak:], p[peak + 1 :]))
+
+
+def test_letters_contract():
+    for cid in (ClassId.AV_312_213, ClassId.AV_312_231, ClassId.AV_312_321):
+        for max_size in range(9):
+            entries = letters(cid, max_size)
+            for word, size, is_run in entries:
+                validate_element(cid, word)
+                assert size <= max_size
+                assert size_of(cid, word) == size + (cid is ClassId.AV_312_213)
+                assert is_run == (cid is ClassId.AV_312_321 and word[0] < 0)
+            words = [word for word, _, _ in entries]
+            assert all(x < y for x, y in zip(words, words[1:])), (cid, max_size)
+            # distinct and valid, so complete when there are as many as letters
+            expected = {
+                ClassId.AV_312_213: 2 if max_size else 0,
+                ClassId.AV_312_231: max_size,
+                ClassId.AV_312_321: max(2 * max_size - 1, 0),
+            }[cid]
+            assert len(words) == expected, (cid, max_size)
+
+
+def test_c1_has_no_letters_and_no_scan_automaton():
+    with pytest.raises(ValueError):
+        letters(ClassId.AV_312_123, 3)
+    with pytest.raises(ValueError):
+        scan_automaton(ClassId.AV_312_123, (1, 1, 0))
 
 
 def test_sum_words_never_have_adjacent_runs():

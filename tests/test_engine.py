@@ -34,6 +34,9 @@ def test_count_avoiders_examples():
     for cid, empty, point in ((C2, None, ""), (C3, (), (1,)), (C4, (), (-1,))):
         assert count_avoiders(cid, empty, 6) == (0,) * 7, cid
         assert count_avoiders(cid, point, 6) == (1,) + (0,) * 6, cid
+    # to depth 0 only the empty permutation is counted
+    for cid, pattern in ((C1, (1, 1, 0)), (C2, "L"), (C3, (1, 2)), (C4, (2, -1))):
+        assert count_avoiders(cid, pattern, 0) == (1,), cid
 
 
 def test_count_avoiders_budget():

@@ -85,10 +85,10 @@ def test_raw_decoder_and_formatter_match_the_definitions():
 
 @pytest.mark.parametrize("cid, bad", [
     (ClassId.AV_312_123, (1, 0, 2)),
-    (ClassId.AV_312_123, (1.5, 1, 0)),
     (ClassId.AV_312_213, "LRX"),
     (ClassId.AV_312_231, (2, 0)),
     (ClassId.AV_312_321, (-1, -1)),
+    (ClassId.AV_312_123, (1.5, 1, 0)),
 ])
 def test_public_format_and_decode_validate(cid, bad):
     with pytest.raises(ValueError):

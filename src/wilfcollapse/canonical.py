@@ -291,19 +291,28 @@ def rewrite_closure(class_id: ClassId, element) -> frozenset:
 # Greedy factorization
 
 def shortest_prefix_end(class_id: ClassId, word, pattern) -> int | None:
-    """Length of the shortest prefix of word involving pattern, or None."""
-    return next(
-        (k for k in range(len(word) + 1) if class_leq(class_id, pattern, word[:k])),
-        None,
-    )
+    """Length of the shortest prefix of word involving pattern, or None: one scan pass."""
+    if pattern is None:  # c2's empty permutation is involved in every prefix
+        return 0
+    scan, state, goal = scan_automaton(class_id, pattern)
+    if state == goal:
+        return 0
+    for k in range(len(word)):
+        state = scan(pattern, word[k : k + 1], state)
+        if state == goal:
+            return k + 1
+    return None
 
 
 def shortest_suffix_start(class_id: ClassId, word, pattern) -> int | None:
-    """Start index of the shortest suffix of word involving pattern, or None."""
-    return next(
-        (k for k in range(len(word), -1, -1) if class_leq(class_id, pattern, word[k:])),
-        None,
-    )
+    """
+    Start index of the shortest suffix of word involving pattern, or None:
+    the prefix pass over both reversed, since reversal is an order symmetry
+    of c2-c4 (the reverse-complement-inverse symmetry).
+    """
+    # c2's None and the empty words are their own reversals
+    end = shortest_prefix_end(class_id, word[::-1], pattern and pattern[::-1])
+    return None if end is None else len(word) - end
 
 
 def greedy_factorize(class_id: ClassId, word, prefix_pattern, suffix_pattern):

@@ -81,7 +81,8 @@ def _scan_counts(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[
     one may not be extended by another.
     """
     scan, start, goal = scan_automaton(class_id, pattern)
-    alphabet = letters(class_id, depth)
+    # by size, so each state's moves stop at the first letter too large
+    alphabet = sorted(letters(class_id, depth), key=lambda letter: letter[1])
     # table[m] maps (scan state, last letter is a run) to its number of words
     table: list[dict] = [{} for _ in range(depth + 1)]
     if start != goal:
@@ -99,7 +100,7 @@ def _scan_counts(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[
                 ]
             for size, nxt in moves[key]:
                 if m + size > depth:
-                    continue
+                    break
                 row = table[m + size]
                 row[nxt] = row.get(nxt, 0) + ways
     return tuple(sum(row.values()) for row in table)

@@ -3,10 +3,16 @@ Exact generating functions for the four classes and their principal
 subclasses, the polynomials counting sum words by longest increasing
 subsequence, and the real roots used to separate equivalence classes.
 
-The layered recursion peels the first layer of the pattern: a word avoiding
-a pattern starting with layer a either uses layers below a throughout, or
-uses layers below a, then one layer of size at least a, then a tail avoiding
-the rest of the pattern.
+The layered recursion peels the first layer a of the pattern: a word
+avoiding it uses layers below a throughout, or is its own shortest prefix
+involving layer a followed by a tail avoiding the rest.  That prefix, layers
+below a and then one of size at least a, has the GF t^a/(1-2t+t^a) of the
+shortest prefix involving a drop letter b_a, so c3 and c4 can share GFs:
+
+>>> avoid_gf_layered((3, 2)) == avoid_gf_sum_word((3, 2))
+True
+>>> avoid_gf_layered((2, 1)) == avoid_gf_sum_word((2, -1))
+True
 
 The sum words with longest increasing subsequence exactly n are counted by
 L_n = t^n b_n(t), where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
@@ -14,17 +20,16 @@ polynomial; b_n = (2+t) b_(n-1) - b_(n-2) is the three-term recursion of
 the run counts divided by t^n, and b_n is (-1)^n U_2n under x^2 = -t/4, the
 Chebyshev identity checked below.
 
-The sum-word involvement recursion peels the leading letter.  Peeling a drop
-letter b_j is exact for any tail.  Peeling a run letter a_i uses the minimal
-prefix hosting an increasing run of length i; the letter after that prefix
-may not fuse with it, so the prefix generating function is split by the type
-of its final letter before multiplying: t L_(i-1)/(1-t) for a final run
-letter, since removing one point of that run leaves any word whose longest
-increasing subsequence is i-1, and (L_i - t L_(i-1))/(1-t) for a final drop
-letter.  The naive product form, which skips that split, is also provided:
-it factors through the run-count polynomials and therefore vanishes at their
-roots, but its expansion differs from the exact, brute-force-checked counts
-(already for the single letter a2) and it is kept for diagnosis only.
+The sum-word involvement recursion peels, one factor per letter, the
+shortest prefix involving the leading letter: t^j/(1-2t+t^j) for a drop
+letter b_j.  A run letter a_i is peeled with the drop letter b_j after it,
+since a minimal prefix ending in a run letter may not be followed by one
+(see _run_prefix_gf).  A final a_i leaves the words whose longest increasing
+subsequence is below i.  The naive product form, which skips that junction,
+is also provided: it factors through the run-count polynomials and therefore
+vanishes at their roots, but its expansion differs from the exact,
+brute-force-checked counts (already for the single letter a2) and it is kept
+for diagnosis only.
 """
 from __future__ import annotations
 
@@ -36,7 +41,6 @@ from .encodings import ClassId, Composition, SumWord, validate_element
 from .errors import PreconditionError
 from .series import ONE, Poly, RationalGF, T
 
-_ONE_GF = RationalGF.of(ONE)
 _ONE_MINUS_T = Poly.of(1, -1)
 
 
@@ -55,6 +59,15 @@ def layered_denominator(a: int) -> Poly:
     return Poly.of(1, *([-1] * (a - 1)))
 
 
+def _prefix_gf(j: int) -> RationalGF:
+    """
+    GF of the words that are their own shortest prefix involving a c3 layer
+    j or a c4 drop letter b_j: smaller letters, then one of size at least j.
+    t^j/((1-t)(1 - t - ... - t^(j-1))) = t^j/(1-2t+t^j).
+    """
+    return RationalGF(Poly.monomial(j), Poly.of(1, -2) + Poly.monomial(j))
+
+
 @lru_cache(maxsize=None)
 def avoid_gf_layered(pattern: Composition) -> RationalGF:
     """
@@ -65,9 +78,7 @@ def avoid_gf_layered(pattern: Composition) -> RationalGF:
     if not pattern:
         return RationalGF.of(0)
     a, rest = pattern[0], pattern[1:]
-    head = RationalGF(ONE, layered_denominator(a))
-    tail = RationalGF(Poly.monomial(a), _ONE_MINUS_T) * avoid_gf_layered(rest)
-    return head * (_ONE_GF + tail)
+    return RationalGF(ONE, layered_denominator(a)) + _prefix_gf(a) * avoid_gf_layered(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +107,11 @@ def lis_count_poly(n: int) -> Poly:
 # ---------------------------------------------------------------------------
 # Sum-word involvement generating functions
 
-def _drop_context_gf(j: int) -> RationalGF:
-    """GF of words whose drop letters all have index below j: (1-t)/(1-2t+t^j)."""
-    den = Poly.of(1, -2) + Poly.monomial(j)
-    return RationalGF(_ONE_MINUS_T, den)
-
-
-def _drop_context_gf_bstart(j: int) -> RationalGF:
-    """Same, restricted to words that are empty or start with a drop letter."""
-    den = Poly.of(1, -2) + Poly.monomial(j)
-    return RationalGF(_ONE_MINUS_T * _ONE_MINUS_T, den)
-
-
-def _letters_gf(j: int) -> RationalGF:
-    """GF of a single drop letter of index at least j: t^j/(1-t)."""
-    return RationalGF(Poly.monomial(j), _ONE_MINUS_T)
-
-
 @lru_cache(maxsize=None)
-def _run_prefix_gfs(i: int) -> tuple[RationalGF, RationalGF]:
+def _run_prefix_gf(i: int) -> RationalGF:
     """
-    Generating functions of the minimal prefixes hosting an increasing run
-    of length i, split by the type of their final letter (run, drop):
-    t*L_(i-1)/(1-t) and (L_i - t*L_(i-1))/(1-t), with L = lis_count_poly.
+    The factor of a run letter a_i followed by a drop letter b_j, beside
+    _prefix_gf(j): (L_i - t^2 L_(i-1))/(1-t), with L = lis_count_poly.
 
     The longest increasing subsequence of a sum word is the sum of its
     letter capacities (k for a run letter of size k, j-1 for a drop letter
@@ -129,13 +122,11 @@ def _run_prefix_gfs(i: int) -> tuple[RationalGF, RationalGF]:
     capacity i ending in a drop letter.  Those ending in a run letter map
     one-to-one onto all words of capacity i-1 by removing one point of the
     final run (the letter itself if it has size 1); that point is the
-    factor t.  The two numerators therefore sum to L_i.
+    factor t.  After a final run letter, the words before b_j must be empty
+    or start with a drop letter: a factor 1-t.  In all,
+    t L_(i-1)(1-t) + L_i - t L_(i-1) = L_i - t^2 L_(i-1).
     """
-    shifted = lis_count_poly(i - 1).shift(1)
-    return (
-        RationalGF(shifted, _ONE_MINUS_T),
-        RationalGF(lis_count_poly(i) - shifted, _ONE_MINUS_T),
-    )
+    return RationalGF(lis_count_poly(i) - lis_count_poly(i - 1).shift(2), _ONE_MINUS_T)
 
 
 @lru_cache(maxsize=None)
@@ -149,18 +140,15 @@ def involve_gf_sum_word(word: SumWord) -> RationalGF:
         return class_gf(ClassId.AV_312_321)
     head, rest = word[0], word[1:]
     if head > 0:
-        return _drop_context_gf(head) * _letters_gf(head) * involve_gf_sum_word(rest)
+        return _prefix_gf(head) * involve_gf_sum_word(rest)
     i = -head
     if not rest:
-        total = class_gf(ClassId.AV_312_321)
-        for k in range(i):
-            total = total - RationalGF.of(lis_count_poly(k))
-        return total
+        # the words whose longest increasing subsequence is below i
+        short = sum((lis_count_poly(k) for k in range(i)), Poly.of(0))
+        return class_gf(ClassId.AV_312_321) - RationalGF.of(short)
     j = rest[0]
     assert j > 0, "a valid word never has two adjacent run letters"
-    ends_run, ends_drop = _run_prefix_gfs(i)
-    bridge = ends_run * _drop_context_gf_bstart(j) + ends_drop * _drop_context_gf(j)
-    return bridge * _letters_gf(j) * involve_gf_sum_word(rest[1:])
+    return _run_prefix_gf(i) * _prefix_gf(j) * involve_gf_sum_word(rest[1:])
 
 
 def avoid_gf_sum_word(word: SumWord) -> RationalGF:
@@ -189,7 +177,7 @@ def involve_gf_product_form(word: SumWord) -> RationalGF:
     result = class_gf(ClassId.AV_312_321)
     for letter in word:
         if letter > 0:
-            result = result * _drop_context_gf(letter) * _letters_gf(letter)
+            result = result * _prefix_gf(letter)
         else:
             result = result * RationalGF(lis_count_poly(-letter), _ONE_MINUS_T)
     return result
@@ -225,7 +213,8 @@ def _bisect(f, lo: float, hi: float) -> float:
 def layered_root(a: int) -> float:
     """
     Least positive zero of 1 - t - ... - t^(a-1).  Exactly 1 for a = 2 and
-    strictly decreasing toward 1/2 as a grows.
+    strictly decreasing toward 1/2 as a grows.  Approximate for a > 2: a
+    float bisection to 1e-12, with no exact check.
     """
     if a < 2:
         raise PreconditionError("a must be at least 2")

@@ -14,6 +14,8 @@ from wilfcollapse.canonical import (
     merge_ones_bijection,
     partitions_without_two,
     rewrite_closure,
+    shortest_prefix_end,
+    shortest_suffix_start,
     swap_parts_bijection,
     valid_pairs,
     wedge_bijection,
@@ -127,6 +129,13 @@ def test_greedy_factorize_examples():
     assert greedy_factorize(C3, (1, 2), (1,), (2,)) == ((1,), (), (2,))
     with pytest.raises(NotInvolvedError):
         greedy_factorize(C3, (1, 1), (2,), (2,))
+    # c2's empty permutation None is involved in every prefix and suffix
+    assert shortest_prefix_end(ClassId.AV_312_213, "LRL", None) == 0
+    assert shortest_suffix_start(ClassId.AV_312_213, "LRL", None) == 3
+    # c1 has no scan automaton
+    for shortest in (shortest_prefix_end, shortest_suffix_start):
+        with pytest.raises(ValueError, match="no scan automaton"):
+            shortest(ClassId.AV_312_123, (1, 2, 0), (0, 0, 1))
 
 
 FACTORIZATION_CASES = {

@@ -194,6 +194,17 @@ def test_class_leq_matches_involvement_exhaustive():
             ), (cid, x, y)
 
 
+def test_reversal_is_an_order_symmetry():
+    # reversing both words is the reverse-complement-inverse symmetry in
+    # c2-c4, which shortest_suffix_start relies on; c2's None is left out
+    for cid in (ClassId.AV_312_213, ClassId.AV_312_231, ClassId.AV_312_321):
+        start = 1 if cid is ClassId.AV_312_213 else 0
+        patterns = [e for m in range(start, 7) for e in generate(cid, m)]
+        targets = [e for m in range(start, 9) for e in generate(cid, m)]
+        for x, y in itertools.product(patterns, targets):
+            assert class_leq(cid, x, y) == class_leq(cid, x[::-1], y[::-1]), (cid, x, y)
+
+
 def test_class_leq_examples():
     assert class_leq(ClassId.AV_312_123, (0, 0, 3), (2, 1, 1))
     assert class_leq(ClassId.AV_312_321, (-3,), (2, 3))

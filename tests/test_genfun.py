@@ -8,7 +8,6 @@ from wilfcollapse.encodings import ClassId, generate, leq_function, to_permutati
 from wilfcollapse.errors import PreconditionError
 from wilfcollapse import genfun
 from wilfcollapse.genfun import (
-    _run_prefix_gfs,
     avoid_gf,
     avoid_gf_layered,
     avoid_gf_sum_word,
@@ -182,15 +181,23 @@ def test_lis_poly_cold_cache_large_index():
     assert -1e-5 < lis_root(1000) < 0
 
 
-@pytest.mark.parametrize("i", range(1, 7))
-def test_run_prefix_gfs_count_minimal_prefixes(i):
-    # coefficient m of each part counts the size-m words that are their own
-    # shortest prefix involving a_i, split by the sign of the last letter
-    ends_run, ends_drop = (gf.expand(12).coeffs for gf in _run_prefix_gfs(i))
+@pytest.mark.parametrize(
+    "cid, pattern",
+    [(C3, (j,)) for j in range(1, 7)]
+    + [(C4, (j,)) for j in range(2, 7)]
+    + [(C4, (-i, j)) for i in range(1, 6) for j in range(2, 5)],
+)
+def test_prefix_factors_count_minimal_prefixes(cid, pattern):
+    # coefficient m of a letter's factor (a run letter's with the drop letter
+    # after it) counts the size-m words that are their own shortest prefix
+    # involving those letters
+    factor = genfun._prefix_gf(pattern[-1])
+    if len(pattern) == 2:
+        factor = genfun._run_prefix_gf(-pattern[0]) * factor
+    coeffs = factor.expand(12).coeffs
     for m in range(13):
-        minimal = [w for w in generate(C4, m) if shortest_prefix_end(C4, w, (-i,)) == len(w)]
-        assert ends_run[m] == sum(1 for w in minimal if w[-1] < 0), (i, m)
-        assert ends_drop[m] == sum(1 for w in minimal if w[-1] > 0), (i, m)
+        minimal = [w for w in generate(cid, m) if shortest_prefix_end(cid, w, pattern) == len(w)]
+        assert coeffs[m] == len(minimal), (pattern, m)
 
 
 def test_lis_poly_degree_window():

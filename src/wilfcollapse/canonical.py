@@ -294,6 +294,8 @@ def shortest_prefix_end(class_id: ClassId, word, pattern) -> int | None:
     """Length of the shortest prefix of word involving pattern, or None: one scan pass."""
     if pattern is None:  # c2's empty permutation is involved in every prefix
         return 0
+    if word is None:  # and involves nothing else
+        return None
     scan, state, goal = scan_automaton(class_id, pattern)
     if state == goal:
         return 0
@@ -311,8 +313,8 @@ def shortest_suffix_start(class_id: ClassId, word, pattern) -> int | None:
     of c2-c4 (the reverse-complement-inverse symmetry).
     """
     # c2's None and the empty words are their own reversals
-    end = shortest_prefix_end(class_id, word[::-1], pattern and pattern[::-1])
-    return None if end is None else len(word) - end
+    end = shortest_prefix_end(class_id, word and word[::-1], pattern and pattern[::-1])
+    return None if end is None else len(word or "") - end
 
 
 def greedy_factorize(class_id: ClassId, word, prefix_pattern, suffix_pattern):

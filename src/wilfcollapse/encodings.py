@@ -410,6 +410,8 @@ def scan_automaton(class_id: ClassId, pattern: ClassElement) -> tuple:
     """
     if class_id not in _SCANS:
         raise ValueError(f"{class_id.value} has no scan automaton")
+    if pattern is None:
+        raise ValueError("c2's None is involved in every element and has no scan automaton")
     scan, start, goal = _SCANS[class_id]
     return scan, start, goal(pattern)
 
@@ -458,6 +460,11 @@ def format_function(class_id: ClassId):
 
 
 def parse_element(class_id: ClassId, text: str) -> ClassElement:
+    """
+    Read an element from its text form (see ``format_element``).  After each
+    letter read, validate_element judges the word so far; a ParseError names
+    the position of the letter that broke a rule, or of a malformed letter.
+    """
     raw = text.strip()
     if class_id is ClassId.AV_312_123:
         if raw == "e":
@@ -467,52 +474,34 @@ def parse_element(class_id: ClassId, text: str) -> ClassElement:
         parts = raw[2:].split(",")
         if len(parts) != 3 or not all(p.strip().isdigit() for p in parts):
             raise ParseError("expected three non-negative integers", text, 2)
-        e = tuple(int(p) for p in parts)
-        try:
-            validate_element(class_id, e)
-        except ValueError as exc:
-            raise ParseError(str(exc), text, 2) from None
-        return e
+        return _judged(class_id, tuple(int(p) for p in parts), text, 2)
     if class_id is ClassId.AV_312_213:
         if raw == "e":
             return None
-        for i, ch in enumerate(raw):
-            if ch not in "LR":
-                raise ParseError("expected only L and R", text, i)
+        for i in range(len(raw)):
+            _judged(class_id, raw[: i + 1], text, i)
         return raw
-    if class_id is ClassId.AV_312_231:
-        if raw == "e" or raw == "":
-            return ()
-        parts = raw.split("+")
-        pos = 0
-        values = []
-        for chunk in parts:
-            piece = chunk.strip()
-            if not piece.isdigit() or int(piece) < 1:
-                raise ParseError("expected a positive layer size", text, pos)
-            values.append(int(piece))
-            pos += len(chunk) + 1
-        return tuple(values)
     if raw == "e" or raw == "":
         return ()
-    letters = []
+    layered = class_id is ClassId.AV_312_231
+    syntax = "expected a layer size" if layered else "expected letters like a2 or b3"
+    word: tuple = ()
     pos = 0
-    for chunk in raw.split():
-        if len(chunk) < 2 or chunk[0] not in "ab" or not chunk[1:].isdigit():
-            raise ParseError("expected letters like a2 or b3", text, pos)
-        value = int(chunk[1:])
-        if chunk[0] == "a":
-            if value < 1:
-                raise ParseError("run letter needs index >= 1", text, pos)
-            letters.append(-value)
-        else:
-            if value < 2:
-                raise ParseError("drop letter needs index >= 2", text, pos)
-            letters.append(value)
+    for chunk in raw.split("+") if layered else raw.split():
+        token = chunk.strip()  # a layer is digits, a c4 letter a or b and digits
+        digits = token if layered else token[1:]
+        if not digits.isdigit() or (not layered and token[0] not in "ab"):
+            raise ParseError(syntax, text, pos)
+        letter = -int(digits) if token[0] == "a" else int(digits)
+        word = _judged(class_id, word + (letter,), text, pos)
         pos += len(chunk) + 1
-    word = tuple(letters)
+    return word
+
+
+def _judged(class_id: ClassId, word: ClassElement, text: str, pos: int) -> ClassElement:
+    """word if validate_element accepts it, else a ParseError at pos in text."""
     try:
         validate_element(class_id, word)
     except ValueError as exc:
-        raise ParseError(str(exc), text, 0) from None
+        raise ParseError(str(exc), text, pos) from None
     return word

@@ -115,6 +115,13 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
     state, last letter is a run letter) of ``_scan_counts``; a c2 word has
     one letter fewer than its size, and the empty permutation None avoids
     every pattern but None.  c1 is counted by enumerating its members.
+
+    >>> count_avoiders(ClassId.AV_312_231, (2, 1), 6)
+    (1, 1, 2, 3, 4, 5, 6)
+    >>> count_avoiders(ClassId.AV_312_213, None, 3)
+    (0, 0, 0, 0)
+    >>> count_avoiders(ClassId.AV_312_213, "", 3)
+    (1, 0, 0, 0)
     """
     _check_budget(None, depth)
     validate_element(class_id, pattern)

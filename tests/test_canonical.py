@@ -132,6 +132,10 @@ def test_greedy_factorize_examples():
     # c2's empty permutation None is involved in every prefix and suffix
     assert shortest_prefix_end(ClassId.AV_312_213, "LRL", None) == 0
     assert shortest_suffix_start(ClassId.AV_312_213, "LRL", None) == 3
+    # and None as the word involves only None
+    for pattern, expected in ((None, 0), ("", None), ("L", None)):
+        assert shortest_prefix_end(ClassId.AV_312_213, None, pattern) == expected
+        assert shortest_suffix_start(ClassId.AV_312_213, None, pattern) == expected
     # c1 has no scan automaton
     for shortest in (shortest_prefix_end, shortest_suffix_start):
         with pytest.raises(ValueError, match="no scan automaton"):

@@ -177,6 +177,9 @@ def test_c1_has_no_letters_and_no_scan_automaton():
         letters(ClassId.AV_312_123, 3)
     with pytest.raises(ValueError):
         scan_automaton(ClassId.AV_312_123, (1, 1, 0))
+    # nor has c2's empty permutation None, which every element involves
+    with pytest.raises(ValueError, match="involved in every element"):
+        scan_automaton(ClassId.AV_312_213, None)
 
 
 def test_sum_words_never_have_adjacent_runs():
@@ -245,16 +248,48 @@ def test_parse_format_roundtrip():
         assert parse_element(cid, text) == element
 
 
+def test_parse_roundtrips_every_generated_element():
+    for cid in ALL_CLASSES:
+        for e in elements_up_to(cid, 8):
+            assert parse_element(cid, format_element(cid, e)) == e, (cid, e)
+
+
 def test_parse_errors_are_position_tagged():
-    with pytest.raises(ParseError) as exc:
-        parse_element(ClassId.AV_312_231, "3+x+1")
-    assert exc.value.pos == 2
-    with pytest.raises(ParseError):
-        parse_element(ClassId.AV_312_321, "a1 a1")
-    with pytest.raises(ParseError):
-        parse_element(ClassId.AV_312_321, "b1")
-    with pytest.raises(ParseError) as exc:
-        parse_element(ClassId.AV_312_213, "LRX")
-    assert exc.value.pos == 2
-    with pytest.raises(ParseError):
-        parse_element(ClassId.AV_312_123, "t:1,0,2")
+    # syntax errors, then value errors from validate_element, each at the
+    # letter that broke the rule
+    cases = [
+        (ClassId.AV_312_231, "3+x+1", 2),
+        (ClassId.AV_312_213, "LRX", 2),
+        (ClassId.AV_312_231, "3+0+1", 2),
+        (ClassId.AV_312_321, "b1", 0),
+        (ClassId.AV_312_321, "b2 b1", 3),
+        (ClassId.AV_312_321, "b2 a0", 3),
+        (ClassId.AV_312_321, "a1 a1", 3),
+        (ClassId.AV_312_123, "t:1,0,2", 2),
+    ]
+    for cid, text, pos in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_element(cid, text)
+        assert exc.value.pos == pos, (cid, text)
+    with pytest.raises(ParseError, match=r"not a composition: \(3, 0\) at position 2"):
+        parse_element(ClassId.AV_312_231, "3+0+1")
+
+
+PARSE_ALPHABETS = {
+    ClassId.AV_312_123: "t:,0123e ",
+    ClassId.AV_312_213: "LRXe ",
+    ClassId.AV_312_231: "0123+e x",
+    ClassId.AV_312_321: "ab0123e ",
+}
+
+
+@given(st.data())
+def test_parse_reads_or_raises_parse_error(data):
+    cid = data.draw(st.sampled_from(ALL_CLASSES))
+    text = data.draw(st.text(alphabet=PARSE_ALPHABETS[cid], max_size=10))
+    try:
+        e = parse_element(cid, text)
+    except ParseError:
+        return
+    validate_element(cid, e)
+    assert parse_element(cid, format_element(cid, e)) == e

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from wilfcollapse.canonical import shortest_prefix_end
-from wilfcollapse.encodings import ClassId, generate, leq_function, to_permutation
+from wilfcollapse.encodings import (
+    ClassId,
+    generate,
+    leq_function,
+    size_of,
+    to_permutation,
+    validate_element,
+)
 from wilfcollapse.errors import PreconditionError
 from wilfcollapse import genfun
 from wilfcollapse.genfun import (
@@ -135,6 +142,35 @@ def test_special_pair_identity():
     assert f.expand(20).coeffs == g.expand(20).coeffs
     with pytest.raises(PreconditionError):
         special_pair_gfs(1)
+
+
+def layered_to_sum_word(pattern):
+    # a layer p >= 2 becomes b_p, two adjacent 1s (paired left to right)
+    # become b2, and any other 1 becomes a1
+    word, i = [], 0
+    while i < len(pattern):
+        if pattern[i] == 1 and pattern[i + 1 : i + 2] == (1,):
+            word.append(2)
+            i += 2
+        else:
+            word.append(-1 if pattern[i] == 1 else pattern[i])
+            i += 1
+    return tuple(word)
+
+
+def test_every_layered_avoidance_gf_is_a_sum_word_one():
+    # the factor identities that let the map above work at every size
+    g1 = genfun._prefix_gf(1)
+    assert g1 * g1 == genfun._prefix_gf(2)
+    assert genfun._run_prefix_gf(1) == g1
+    assert class_gf(C4) * g1 == class_gf(C4) - RationalGF.of(1)
+    compositions = [p for n in range(11) for p in generate(C3, n)]
+    assert len(compositions) == 1024
+    for p in compositions:
+        word = layered_to_sum_word(p)
+        validate_element(C4, word)
+        assert size_of(C4, word) == size_of(C3, p)
+        assert avoid_gf_layered(p) == avoid_gf_sum_word(word), (p, word)
 
 
 # ---------------------------------------------------------------------------

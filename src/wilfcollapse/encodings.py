@@ -22,6 +22,7 @@ that agrees with permutation involvement on decoded elements:
 """
 from __future__ import annotations
 
+import re
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Union
@@ -460,48 +461,60 @@ def format_function(class_id: ClassId):
 
 
 def parse_element(class_id: ClassId, text: str) -> ClassElement:
-    """
-    Read an element from its text form (see ``format_element``).  After each
-    letter read, validate_element judges the word so far; a ParseError names
-    the position of the letter that broke a rule, or of a malformed letter.
-    """
+    """Read an element from its text form (see ``format_element``); _judged rules on it."""
     raw = text.strip()
+    pos = len(text) - len(text.lstrip())  # where raw starts in text
     if class_id is ClassId.AV_312_123:
         if raw == "e":
             return (0, 0, 0)
         if not raw.startswith("t:"):
-            raise ParseError("expected 't:a,b,c'", text, 0)
+            raise ParseError("expected 't:a,b,c'", text, pos)
         parts = raw[2:].split(",")
-        if len(parts) != 3 or not all(p.strip().isdigit() for p in parts):
-            raise ParseError("expected three non-negative integers", text, 2)
-        return _judged(class_id, tuple(int(p) for p in parts), text, 2)
+        if len(parts) != 3 or not all(p.strip().isdecimal() for p in parts):
+            raise ParseError("expected three non-negative integers", text, pos + 2)
+        return _judged(class_id, tuple(int(p) for p in parts), text, [pos + 2])
     if class_id is ClassId.AV_312_213:
-        if raw == "e":
-            return None
-        for i in range(len(raw)):
-            _judged(class_id, raw[: i + 1], text, i)
-        return raw
+        return None if raw == "e" else _judged(class_id, raw, text, range(pos, pos + len(raw)))
     if raw == "e" or raw == "":
         return ()
-    layered = class_id is ClassId.AV_312_231
-    syntax = "expected a layer size" if layered else "expected letters like a2 or b3"
-    word: tuple = ()
-    pos = 0
-    for chunk in raw.split("+") if layered else raw.split():
-        token = chunk.strip()  # a layer is digits, a c4 letter a or b and digits
-        digits = token if layered else token[1:]
-        if not digits.isdigit() or (not layered and token[0] not in "ab"):
-            raise ParseError(syntax, text, pos)
-        letter = -int(digits) if token[0] == "a" else int(digits)
-        word = _judged(class_id, word + (letter,), text, pos)
-        pos += len(chunk) + 1
-    return word
+    word, starts = [], []  # before a malformed letter, _judged rules on the letters read
+    if class_id is ClassId.AV_312_231:
+        for chunk in raw.split("+"):
+            start = pos + len(chunk) - len(chunk.lstrip())
+            if not chunk.strip().isdecimal():
+                _judged(class_id, tuple(word), text, starts)
+                raise ParseError("expected a layer size", text, start)
+            word.append(int(chunk))
+            starts.append(start)
+            pos += len(chunk) + 1
+    else:
+        for token in re.finditer(r"\S+", text):
+            kind, digits = token[0][0], token[0][1:]
+            if kind not in "ab" or not digits.isdecimal():
+                _judged(class_id, tuple(word), text, starts)
+                raise ParseError("expected letters like a2 or b3", text, token.start())
+            word.append(-int(digits) if kind == "a" else int(digits))
+            starts.append(token.start())
+    return _judged(class_id, tuple(word), text, starts)
 
 
-def _judged(class_id: ClassId, word: ClassElement, text: str, pos: int) -> ClassElement:
-    """word if validate_element accepts it, else a ParseError at pos in text."""
+def _judged(class_id: ClassId, word: ClassElement, text: str, starts) -> ClassElement:
+    """
+    word if validate_element accepts it, else a ParseError at starts[i], the
+    start in text of letter i, when word[: i + 1] is the shortest prefix it
+    rejects (the rules are prefix-closed, so bisection finds i).
+    """
     try:
         validate_element(class_id, word)
+        return word
     except ValueError as exc:
-        raise ParseError(str(exc), text, pos) from None
-    return word
+        error = exc
+    lo, hi = 0, len(starts) - 1  # error rejects word[: hi + 1], at first all of word
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            validate_element(class_id, word[: mid + 1])
+            lo = mid + 1
+        except ValueError as exc:
+            hi, error = mid, exc
+    raise ParseError(str(error), text, starts[hi]) from None

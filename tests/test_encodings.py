@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -246,9 +247,6 @@ def test_parse_format_roundtrip():
     for cid, element, text in cases:
         assert format_element(cid, element) == text
         assert parse_element(cid, text) == element
-
-
-def test_parse_roundtrips_every_generated_element():
     for cid in ALL_CLASSES:
         for e in elements_up_to(cid, 8):
             assert parse_element(cid, format_element(cid, e)) == e, (cid, e)
@@ -266,6 +264,19 @@ def test_parse_errors_are_position_tagged():
         (ClassId.AV_312_321, "b2 a0", 3),
         (ClassId.AV_312_321, "a1 a1", 3),
         (ClassId.AV_312_123, "t:1,0,2", 2),
+        # positions index the text as given, whatever its whitespace
+        (ClassId.AV_312_213, "  LRX", 4),
+        (ClassId.AV_312_321, "  a1 a1", 5),
+        (ClassId.AV_312_321, "a1  a1", 4),
+        (ClassId.AV_312_231, "3 + 0", 4),
+        (ClassId.AV_312_123, " t:1,0,2", 3),
+        # a rule broken before a malformed letter is reported first
+        (ClassId.AV_312_231, "0+2e2", 0),
+        (ClassId.AV_312_321, "a1 a1 x", 3),
+        # digits that int does not read are malformed letters
+        (ClassId.AV_312_231, "3+²", 2),
+        (ClassId.AV_312_321, "b²", 0),
+        (ClassId.AV_312_123, "t:²,1,1", 2),
     ]
     for cid, text, pos in cases:
         with pytest.raises(ParseError) as exc:
@@ -275,11 +286,11 @@ def test_parse_errors_are_position_tagged():
         parse_element(ClassId.AV_312_231, "3+0+1")
 
 
-PARSE_ALPHABETS = {
-    ClassId.AV_312_123: "t:,0123e ",
-    ClassId.AV_312_213: "LRXe ",
-    ClassId.AV_312_231: "0123+e x",
-    ClassId.AV_312_321: "ab0123e ",
+PARSE_ALPHABETS = {  # each with spaces, a tab and a digit that int does not read
+    ClassId.AV_312_123: "t:,0123e  \t²",
+    ClassId.AV_312_213: "LRXe  \t²",
+    ClassId.AV_312_231: "0123+e x  \t²",
+    ClassId.AV_312_321: "ab0123e  \t²",
 }
 
 
@@ -289,7 +300,30 @@ def test_parse_reads_or_raises_parse_error(data):
     text = data.draw(st.text(alphabet=PARSE_ALPHABETS[cid], max_size=10))
     try:
         e = parse_element(cid, text)
-    except ParseError:
+    except ParseError as exc:
+        # a leading space moves the error by one
+        with pytest.raises(ParseError) as shifted:
+            parse_element(cid, " " + text)
+        assert shifted.value.pos == exc.pos + 1
         return
     validate_element(cid, e)
     assert parse_element(cid, format_element(cid, e)) == e
+
+
+def test_parse_is_fast_on_long_texts():
+    # 10^5 letters, well formed or broken at the last one: each parse reads
+    # the letters once and judges O(log n) prefixes (under a second); judging
+    # every prefix would take minutes
+    longs = [
+        (ClassId.AV_312_213, "", "L", "X"),
+        (ClassId.AV_312_231, "+", "1", "0"),
+        (ClassId.AV_312_321, " ", "b2", "b1"),
+    ]
+    start = time.perf_counter()
+    for cid, sep, good, bad in longs:
+        text = sep.join([good] * 100_000)
+        assert size_of(cid, parse_element(cid, text)) >= 100_000
+        with pytest.raises(ParseError) as exc:
+            parse_element(cid, text + sep + bad)
+        assert exc.value.pos == len(text + sep)
+    assert time.perf_counter() - start < 5.0

@@ -7,12 +7,14 @@ unless --out is given; diagnostics go to stderr.  Exit codes: 0 success,
 1 verification failure or data error, 2 usage error.
 
 A flat key=value file passed with --config supplies defaults that explicit
-flags override, for scripted runs.
+flags override, for scripted runs.  The argument parsers are built on the
+first run and shared by every later run in the process.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -53,6 +55,7 @@ def _at_least(low: int):
     return integer
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wilfcollapse",
@@ -137,16 +140,21 @@ def _check_size_and_depth(args) -> None:
         parser.error(f"--depth {args.depth} must exceed {flag} {size} to separate patterns")
 
 
+@functools.cache
+def _config_finder() -> argparse.ArgumentParser:
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    return finder
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     """
     Splice key=value pairs from a --config file in as defaults.  The flag is
     found by argparse, so every spelling it takes for --config is read; a
     --config without PATH is left for the subcommand's parser to report.
     """
-    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    finder.add_argument("--config")
     try:
-        path = finder.parse_known_args(argv)[0].config
+        path = _config_finder().parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         return argv
     if path is None:
@@ -309,14 +317,13 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
         argv = _apply_config(argv)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         _check_size_and_depth(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -36,11 +36,12 @@ def parse_perm(text: str) -> Perm:
     if stripped in ("", "e"):
         return ()
     values = []
-    pos = 0
+    pos = len(text) - len(text.lstrip())  # where stripped starts in text
     for chunk in stripped.split(","):
         piece = chunk.strip()
-        if not piece.isdigit():
-            raise ParseError("expected a positive integer", text, pos)
+        if not piece.isdecimal():
+            start = pos + len(chunk) - len(chunk.lstrip())
+            raise ParseError("expected a positive integer", text, start)
         values.append(int(piece))
         pos += len(chunk) + 1
     perm = tuple(values)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import wilfcollapse
-from wilfcollapse import engine
+from wilfcollapse import cli, engine
 from wilfcollapse.cli import run
 from wilfcollapse.encodings import ClassId
 
@@ -291,3 +291,54 @@ def test_config_flag_c_prefix_where_no_class_option(tmp_path, capsys):
     out, _ = capture(capsys)
     assert code == 0
     assert json.loads(out)[0]["kind"] == "lis"
+
+
+def test_config_file_not_utf8_is_unreadable(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"\xff\xfedepth=12\n")
+    code = run(["gf", "--class", "c3", "--pattern", "1+2", "--config", str(config)])
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot read config: ") and "Traceback" not in err
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._config_finder() is cli._config_finder()
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys, columns):
+    # help, usage errors, config runs and normal ops in one process give the
+    # same bytes from the shared parsers as from parsers built for each op
+    monkeypatch.setenv("COLUMNS", columns)
+    config = tmp_path / "run.conf"
+    config.write_text("depth=12\n")
+    ops = [
+        ["gf", "--help"],
+        ["--help"],
+        ["nonsense"],
+        [],
+        ["classify", "--class", "c2", "--n", "9", "--depth", "16"],
+        ["roots", "--family", "layered", "--max-n", "1"],
+        ["gf", "--class", "c3", "--pattern", "2+1", "--expand", "6"],
+        ["classify", "--config", str(config), "--class", "c3", "--n", "4", "--format", "json"],
+        ["canon", "--class", "c4", "--element", "a1 b3 a1"],
+        ["classify", "--conf", str(config), "--class", "c3", "--n", "4", "--format", "json"],
+        ["verify", "--class", "c4", "--n", "3", "--depth", "10"],
+        ["canon", "--class", "c3", "--element", "2+x"],
+        ["gf", "--class", "c3", "--pattern", "2", "--format", "json"],
+    ]
+
+    def outcome(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+            cli._config_finder.cache_clear()
+        code = run(argv)
+        return (code, *capture(capsys))
+
+    fresh = [outcome(argv, True) for argv in ops * 2]
+    reused = [outcome(argv, False) for argv in ops * 2]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh[: len(ops)]] == [0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 2]

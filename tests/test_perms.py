@@ -49,6 +49,15 @@ def test_is_permutation_and_parse():
     assert not is_permutation((0, 1))
 
 
+@pytest.mark.parametrize("text, pos", [("²", 0), ("  1,x", 4), ("1, x", 3)])
+def test_parse_perm_reports_position_in_text_as_given(text, pos):
+    # a digit that int cannot read is a parse error too, and the position
+    # counts the whitespace the text was given with
+    with pytest.raises(ParseError) as caught:
+        parse_perm(text)
+    assert caught.value.pos == pos
+
+
 def test_involves_examples():
     assert involves((), (2, 4, 1, 3))
     assert involves((1, 3, 2), (2, 4, 1, 3))

@@ -3,11 +3,13 @@ Exact generating functions for the four classes and their principal
 subclasses, the polynomials counting sum words by longest increasing
 subsequence, and the real roots used to separate equivalence classes.
 
-The layered recursion peels the first layer a of the pattern: a word
-avoiding it uses layers below a throughout, or is its own shortest prefix
-involving layer a followed by a tail avoiding the rest.  That prefix, layers
-below a and then one of size at least a, has the GF t^a/(1-2t+t^a) of the
-shortest prefix involving a drop letter b_a, so c3 and c4 can share GFs:
+Involvement is a sequence construction: a word involving a c3 or c4
+pattern is its shortest prefix involving the first letter, then a word
+involving the rest.  So the involvement GF is the class GF 1 + t/(1-2t),
+which c3 and c4 share, times one factor per pattern letter (_involve_gf).  A
+c3 layer a and a c4 drop letter b_a share the factor t^a/(1-2t+t^a).  A c4
+run letter has its own (_run_prefix_gf), which for a1 is layer 1's, so the
+classes share GFs:
 
 >>> avoid_gf_layered((3, 2)) == avoid_gf_sum_word((3, 2))
 True
@@ -19,17 +21,6 @@ L_n = t^n b_n(t), where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
 polynomial; b_n = (2+t) b_(n-1) - b_(n-2) is the three-term recursion of
 the run counts divided by t^n, and b_n is (-1)^n U_2n under x^2 = -t/4, the
 Chebyshev identity checked below.
-
-The sum-word involvement recursion peels, one factor per letter, the
-shortest prefix involving the leading letter: t^j/(1-2t+t^j) for a drop
-letter b_j.  A run letter a_i is peeled with the drop letter b_j after it,
-since a minimal prefix ending in a run letter may not be followed by one
-(see _run_prefix_gf).  A final a_i leaves the words whose longest increasing
-subsequence is below i.  The naive product form, which skips that junction,
-is also provided: it factors through the run-count polynomials and therefore
-vanishes at their roots, but its expansion differs from the exact,
-brute-force-checked counts (already for the single letter a2) and it is kept
-for diagnosis only.
 """
 from __future__ import annotations
 
@@ -63,7 +54,9 @@ def _prefix_gf(j: int) -> RationalGF:
     """
     GF of the words that are their own shortest prefix involving a c3 layer
     j or a c4 drop letter b_j: smaller letters, then one of size at least j.
-    t^j/((1-t)(1 - t - ... - t^(j-1))) = t^j/(1-2t+t^j).
+    t^j/((1-t)(1 - t - ... - t^(j-1))) = t^j/(1-2t+t^j).  A word uses letters
+    below j throughout or starts with such a prefix, so
+    class_gf * (1 - _prefix_gf(j)) = 1/(1 - t - ... - t^(j-1)).
     """
     return RationalGF(Poly.monomial(j), Poly.of(1, -2) + Poly.monomial(j))
 
@@ -75,10 +68,7 @@ def avoid_gf_layered(pattern: Composition) -> RationalGF:
     pattern.  The empty pattern is avoided by nothing, so its value is 0.
     """
     validate_element(ClassId.AV_312_231, pattern)
-    if not pattern:
-        return RationalGF.of(0)
-    a, rest = pattern[0], pattern[1:]
-    return RationalGF(ONE, layered_denominator(a)) + _prefix_gf(a) * avoid_gf_layered(rest)
+    return class_gf(ClassId.AV_312_231) - _involve_gf(pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +100,8 @@ def lis_count_poly(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def _run_prefix_gf(i: int) -> RationalGF:
     """
-    The factor of a run letter a_i followed by a drop letter b_j, beside
-    _prefix_gf(j): (L_i - t^2 L_(i-1))/(1-t), with L = lis_count_poly.
+    The factor of any run letter a_i, a final one included:
+    (L_i - t^2 L_(i-1))/(1-t), with L = lis_count_poly.
 
     The longest increasing subsequence of a sum word is the sum of its
     letter capacities (k for a run letter of size k, j-1 for a drop letter
@@ -122,11 +112,26 @@ def _run_prefix_gf(i: int) -> RationalGF:
     capacity i ending in a drop letter.  Those ending in a run letter map
     one-to-one onto all words of capacity i-1 by removing one point of the
     final run (the letter itself if it has size 1); that point is the
-    factor t.  After a final run letter, the words before b_j must be empty
-    or start with a drop letter: a factor 1-t.  In all,
+    factor t.  After a final run letter, the words that follow must be
+    empty or start with a drop letter: a factor 1-t.  In all,
     t L_(i-1)(1-t) + L_i - t L_(i-1) = L_i - t^2 L_(i-1).
+
+    A final a_i is the one-letter pattern a_i, involved by the words of
+    capacity at least i: sum_(k>=i) L_k = (L_i - t^2 L_(i-1))/(1-2t), which
+    is this factor times class_gf.  L_n = t(2+t) L_(n-1) - t^2 L_(n-2) makes
+    that tail a fixed combination of L_i and L_(i-1), fitted at i = 1 and 2.
     """
     return RationalGF(lis_count_poly(i) - lis_count_poly(i - 1).shift(2), _ONE_MINUS_T)
+
+
+@lru_cache(maxsize=None)
+def _involve_gf(letters: tuple[int, ...]) -> RationalGF:
+    """Involvement GF of a c3 or c4 pattern: the class GF times one factor per letter."""
+    if not letters:
+        return class_gf(ClassId.AV_312_321)
+    head = letters[0]
+    factor = _prefix_gf(head) if head > 0 else _run_prefix_gf(-head)
+    return factor * _involve_gf(letters[1:])
 
 
 @lru_cache(maxsize=None)
@@ -136,19 +141,7 @@ def involve_gf_sum_word(word: SumWord) -> RationalGF:
     Exact: expansions match brute-force counts.
     """
     validate_element(ClassId.AV_312_321, word)
-    if not word:
-        return class_gf(ClassId.AV_312_321)
-    head, rest = word[0], word[1:]
-    if head > 0:
-        return _prefix_gf(head) * involve_gf_sum_word(rest)
-    i = -head
-    if not rest:
-        # the words whose longest increasing subsequence is below i
-        short = sum((lis_count_poly(k) for k in range(i)), Poly.of(0))
-        return class_gf(ClassId.AV_312_321) - RationalGF.of(short)
-    j = rest[0]
-    assert j > 0, "a valid word never has two adjacent run letters"
-    return _run_prefix_gf(i) * _prefix_gf(j) * involve_gf_sum_word(rest[1:])
+    return _involve_gf(word)
 
 
 def avoid_gf_sum_word(word: SumWord) -> RationalGF:
@@ -167,11 +160,12 @@ def avoid_gf(class_id: ClassId, pattern) -> RationalGF:
 
 def involve_gf_product_form(word: SumWord) -> RationalGF:
     """
-    The order-independent product form of the involvement GF: one factor per
-    letter.  It factors through lis_count_poly for every run letter, hence
-    vanishes at the corresponding reduced-polynomial roots, but it is NOT
-    exact: its expansion differs from the exact, brute-force-checked counts,
-    already for the single letter a2.  Diagnostic use only.
+    The naive product form of the involvement GF.  The exact GF is a product
+    too (_involve_gf); this one differs only in its run factor, L_i/(1-t) in
+    place of (L_i - t^2 L_(i-1))/(1-t), so it vanishes at the reduced-polynomial
+    roots of its run letters, but it is NOT exact: its expansion differs from
+    the brute-force-checked counts already for the single letter a2.
+    Diagnostic use only.
     """
     validate_element(ClassId.AV_312_321, word)
     result = class_gf(ClassId.AV_312_321)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,31 @@ def test_involve_gf_base_case():
     assert involve_gf_sum_word(()) == class_gf(C4)
 
 
+def test_product_identities():
+    # a final run letter a_i leaves the words of longest increasing
+    # subsequence below i; the run factor times the class GF is the rest
+    short = Poly.of(0)
+    for i in range(1, 61):
+        short = short + lis_count_poly(i - 1)
+        assert genfun._run_prefix_gf(i) * class_gf(C4) == class_gf(C4) - RationalGF.of(short), i
+    # a layer a: a word uses layers below a throughout or starts with the
+    # shortest prefix involving a
+    for a in range(1, 31):
+        assert class_gf(C3) * (RationalGF.of(1) - genfun._prefix_gf(a)) == RationalGF(
+            ONE, layered_denominator(a)
+        ), a
+
+
+def test_long_run_letter():
+    # a single run letter of size 1000 is avoided by every word of longest
+    # increasing subsequence below 1000: a polynomial, built in well under 5 s
+    start = time.perf_counter()
+    gf = avoid_gf_sum_word((-1000,))
+    assert gf.den == ONE
+    assert gf.expand(12).integers() == (1,) + tuple(2**k for k in range(12))
+    assert time.perf_counter() - start < 5
+
+
 def test_product_form_vanishes_but_overcounts():
     # the product form factors through the run-count polynomials, so it is
     # zero at their roots; the exact involvement GF is zero at none of them,
@@ -171,6 +197,11 @@ def test_every_layered_avoidance_gf_is_a_sum_word_one():
         validate_element(C4, word)
         assert size_of(C4, word) == size_of(C3, p)
         assert avoid_gf_layered(p) == avoid_gf_sum_word(word), (p, word)
+        # the layered sum recursion, kept as an oracle for the product
+        if p:
+            assert avoid_gf_layered(p) == RationalGF(
+                ONE, layered_denominator(p[0])
+            ) + genfun._prefix_gf(p[0]) * avoid_gf_layered(p[1:]), p
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,10 @@ def valid_pairs(n: int) -> tuple[PartitionPair, ...]:
 
 def canonical_class_count(class_id: ClassId, n: int) -> int:
     """Number of equivalence classes among size-n patterns."""
-    if n == 0:
-        return 1
+    if n < 0:
+        raise ValueError("size must be non-negative")
     if class_id is ClassId.AV_312_123:
-        return 1 if n == 1 else 2
+        return 1 if n <= 1 else 2
     if class_id is ClassId.AV_312_213:
         return 1
     if class_id is ClassId.AV_312_231:

@@ -5,11 +5,11 @@ subsequence, and the real roots used to separate equivalence classes.
 
 Involvement is a sequence construction: a word involving a c3 or c4
 pattern is its shortest prefix involving the first letter, then a word
-involving the rest.  So the involvement GF is the class GF 1 + t/(1-2t),
-which c3 and c4 share, times one factor per pattern letter (_involve_gf).  A
-c3 layer a and a c4 drop letter b_a share the factor t^a/(1-2t+t^a).  A c4
-run letter has its own (_run_prefix_gf), which for a1 is layer 1's, so the
-classes share GFs:
+involving the rest.  So the involvement GF is one product, reduced once
+(_involve_gf): the class GF 1 + t/(1-2t), which c3 and c4 share, times one
+factor per pattern letter.  A c3 layer a and a c4 drop letter b_a share the
+factor t^a/(1-2t+t^a).  A c4 run letter has its own (_run_prefix_gf), which
+for a1 is layer 1's, so the classes share GFs:
 
 >>> avoid_gf_layered((3, 2)) == avoid_gf_sum_word((3, 2))
 True
@@ -50,6 +50,7 @@ def layered_denominator(a: int) -> Poly:
     return Poly.of(1, *([-1] * (a - 1)))
 
 
+@lru_cache(maxsize=None)
 def _prefix_gf(j: int) -> RationalGF:
     """
     GF of the words that are their own shortest prefix involving a c3 layer
@@ -68,7 +69,7 @@ def avoid_gf_layered(pattern: Composition) -> RationalGF:
     pattern.  The empty pattern is avoided by nothing, so its value is 0.
     """
     validate_element(ClassId.AV_312_231, pattern)
-    return class_gf(ClassId.AV_312_231) - _involve_gf(pattern)
+    return class_gf(ClassId.AV_312_231) - _involve_gf(pattern, _run_prefix_gf)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +125,18 @@ def _run_prefix_gf(i: int) -> RationalGF:
     return RationalGF(lis_count_poly(i) - lis_count_poly(i - 1).shift(2), _ONE_MINUS_T)
 
 
-@lru_cache(maxsize=None)
-def _involve_gf(letters: tuple[int, ...]) -> RationalGF:
-    """Involvement GF of a c3 or c4 pattern: the class GF times one factor per letter."""
-    if not letters:
-        return class_gf(ClassId.AV_312_321)
-    head = letters[0]
-    factor = _prefix_gf(head) if head > 0 else _run_prefix_gf(-head)
-    return factor * _involve_gf(letters[1:])
+def _involve_gf(letters: tuple[int, ...], run_factor) -> RationalGF:
+    """
+    Involvement GF of a c3 or c4 pattern: the class GF times _prefix_gf(j)
+    for each layer or drop letter j and run_factor(i) for each run letter
+    a_i, multiplied out in one pass and reduced once.
+    """
+    gf = class_gf(ClassId.AV_312_321)
+    num, den = gf.num, gf.den
+    for letter in letters:
+        factor = _prefix_gf(letter) if letter > 0 else run_factor(-letter)
+        num, den = num * factor.num, den * factor.den
+    return RationalGF(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +146,7 @@ def involve_gf_sum_word(word: SumWord) -> RationalGF:
     Exact: expansions match brute-force counts.
     """
     validate_element(ClassId.AV_312_321, word)
-    return _involve_gf(word)
+    return _involve_gf(word, _run_prefix_gf)
 
 
 def avoid_gf_sum_word(word: SumWord) -> RationalGF:
@@ -160,21 +165,15 @@ def avoid_gf(class_id: ClassId, pattern) -> RationalGF:
 
 def involve_gf_product_form(word: SumWord) -> RationalGF:
     """
-    The naive product form of the involvement GF.  The exact GF is a product
-    too (_involve_gf); this one differs only in its run factor, L_i/(1-t) in
-    place of (L_i - t^2 L_(i-1))/(1-t), so it vanishes at the reduced-polynomial
-    roots of its run letters, but it is NOT exact: its expansion differs from
-    the brute-force-checked counts already for the single letter a2.
-    Diagnostic use only.
+    The naive product form of the involvement GF: the exact product
+    (_involve_gf) with the run factor L_i/(1-t) in place of
+    (L_i - t^2 L_(i-1))/(1-t), reduced once.  It vanishes at the
+    reduced-polynomial roots of its run letters, but it is NOT exact: its
+    expansion differs from the brute-force-checked counts already for the
+    single letter a2.  Diagnostic use only.
     """
     validate_element(ClassId.AV_312_321, word)
-    result = class_gf(ClassId.AV_312_321)
-    for letter in word:
-        if letter > 0:
-            result = result * _prefix_gf(letter)
-        else:
-            result = result * RationalGF(lis_count_poly(-letter), _ONE_MINUS_T)
-    return result
+    return _involve_gf(word, lambda i: RationalGF(lis_count_poly(i), _ONE_MINUS_T))
 
 
 def special_pair_gfs(k: int) -> tuple[RationalGF, RationalGF]:

@@ -93,6 +93,10 @@ def test_canonical_class_count_small():
     assert canonical_class_count(ClassId.AV_312_123, 1) == 1
     assert canonical_class_count(ClassId.AV_312_123, 5) == 2
     assert canonical_class_count(ClassId.AV_312_213, 5) == 1
+    # a negative size is refused, as generate refuses it, not counted
+    for cid in ClassId:
+        with pytest.raises(ValueError, match="size must be non-negative"):
+            canonical_class_count(cid, -1)
 
 
 def test_rewrite_closure_examples():

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -102,6 +104,12 @@ def test_avoid_gf_picks_the_class_gf(monkeypatch):
 
 def test_involve_gf_base_case():
     assert involve_gf_sum_word(()) == class_gf(C4)
+    # the per-letter recursion, kept as an oracle for the one-pass product
+    words = [w for n in range(1, 10) for w in generate(C4, n)]
+    assert len(words) == 511
+    for w in words:
+        head = genfun._prefix_gf(w[0]) if w[0] > 0 else genfun._run_prefix_gf(-w[0])
+        assert involve_gf_sum_word(w) == head * involve_gf_sum_word(w[1:]), w
 
 
 def test_product_identities():
@@ -129,6 +137,19 @@ def test_long_run_letter():
     assert time.perf_counter() - start < 5
 
 
+def test_no_recursion_per_pattern_letter():
+    # the product is one loop, so a pattern's length is not bounded by the
+    # recursion limit: 150 letters expand with 100 frames to spare
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        gfs = [avoid_gf_layered((1,) * 150), avoid_gf_sum_word((2, -1) * 75)]
+    finally:
+        sys.setrecursionlimit(limit)
+    for gf in gfs:
+        assert gf.expand(12).integers() == (1,) + tuple(2**k for k in range(12))
+
+
 def test_product_form_vanishes_but_overcounts():
     # the product form factors through the run-count polynomials, so it is
     # zero at their roots; the exact involvement GF is zero at none of them,
@@ -139,6 +160,17 @@ def test_product_form_vanishes_but_overcounts():
     assert product.expand(4).integers() != exact.expand(4).integers()
     assert product_form_vanishes_at((-2,), 2)
     assert poly_gcd(exact.num, reduced_lis_poly(2)) == ONE
+    # the per-letter product loop, kept as an oracle for the one-pass product
+    words = [w for n in range(9) for w in generate(C4, n)]
+    assert len(words) == 256
+    for w in words:
+        loop = class_gf(C4)
+        for letter in w:
+            if letter > 0:
+                loop = loop * genfun._prefix_gf(letter)
+            else:
+                loop = loop * RationalGF(lis_count_poly(-letter), Poly.of(1, -1))
+        assert involve_gf_product_form(w) == loop, w
 
 
 def test_leading_layer_cancellation():

@@ -245,7 +245,16 @@ def _cmd_gf(args) -> int:
     text = str(gf) + "\n"
     if args.expand is not None:
         coeffs = gf.expand(args.expand).integers()
-        text += _csv_text(["n", "count"], [[k, c] for k, c in enumerate(coeffs)])
+        # 0 (no limit) on a Python without one, before 3.10.7
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        for k, c in enumerate(coeffs):
+            # 10^limit > 2^(3 limit), so only so wide a coefficient can be too long
+            if limit and c.bit_length() > 3 * limit and abs(c) >= 10**limit:
+                raise ValueError(
+                    f"the coefficient of t^{k} has more than {limit} digits; lower --expand"
+                )
+        # integers are never quoted, so these are the csv writer's bytes
+        text += "n,count\n" + "".join(f"{k},{c}\n" for k, c in enumerate(coeffs))
     _emit(text, args.out)
     return 0
 

@@ -203,44 +203,65 @@ def _bisect(f, lo: float, hi: float) -> float:
     return (lo + hi) / 2
 
 
+@lru_cache(maxsize=None)
 def layered_root(a: int) -> float:
     """
     Least positive zero of 1 - t - ... - t^(a-1).  Exactly 1 for a = 2 and
-    strictly decreasing toward 1/2 as a grows.  Approximate for a > 2: a
-    float bisection to 1e-12, with no exact check.
+    strictly decreasing toward 1/2 as a grows.  For a > 2, a float bisection
+    to 1e-12, cached per index and confirmed by an exact sign change: on
+    (0, 1) the polynomial has the sign of its product with 1-t, 1 - 2t + t^a,
+    which at p/2^k times 2^(ka) is 2^(ka) - 2p 2^(k(a-1)) + p^a.
     """
     if a < 2:
         raise PreconditionError("a must be at least 2")
     if a == 2:
         return 1.0
-    poly = layered_denominator(a)
     # Strictly decreasing on (0, 1], positive at 0 and negative at 1.
-    return _bisect(poly.eval, 0.0, 1.0)
+    value = _bisect(layered_denominator(a).eval, 0.0, 1.0)
+    lo, hi, k = _dyadic_bracket(value)
+    lo_value, hi_value = ((1 << k * a) - (p << k * (a - 1) + 1) + p**a for p in (lo, hi))
+    if not (lo_value > 0 > hi_value):
+        raise ArithmeticError(f"no sign change around the bisection root for index {a}")
+    return value
 
 
-def _sign_at(poly: Poly, x: Fraction) -> int:
-    """Exact sign of poly at x, by Horner's rule scaled by q**degree for x = p/q."""
-    p, q = x.numerator, x.denominator
-    acc, q_power = 0, 1
-    for c in reversed(poly.coeffs):
-        acc = acc * p + c * q_power
-        q_power *= q
-    return (acc > 0) - (acc < 0)
+def _dyadic_bracket(root: float) -> tuple[int, int, int]:
+    """
+    Integers lo, hi and k with lo/2^k < root < hi/2^k, both points strictly
+    inside root * (1 +- 5e-7).  2^-k <= |root|/2^22 < |root|/(4 * 10^6), so
+    root lies more than two steps of 2^-k from either end.
+    """
+    k = 23 - math.frexp(root)[1]
+    x = Fraction(root) * 2**k
+    half_width = abs(x) / 2_000_000
+    return math.floor(x - half_width) + 1, math.ceil(x + half_width) - 1, k
 
 
 def _changes_sign_around(poly: Poly, root: float) -> bool:
-    """Whether poly changes sign on the interval root * (1 +- 5e-7), decided exactly."""
-    x = Fraction(root)
-    half_width = x / 2_000_000
-    return _sign_at(poly, x - half_width) * _sign_at(poly, x + half_width) < 0
+    """
+    Whether poly changes sign inside root * (1 +- 5e-7), decided exactly at
+    the two dyadic points p/2^k of _dyadic_bracket: Horner's rule scaled by
+    2^(k * degree), in integers only.  A sign change there proves a zero of
+    poly within root * (1 +- 5e-7).
+    """
+    lo, hi, k = _dyadic_bracket(root)
+    values = []
+    for p in (lo, hi):
+        acc, shift = 0, 0
+        for c in reversed(poly.coeffs):
+            acc = acc * p + (c << shift)
+            shift += k
+        values.append(acc)
+    return (values[0] > 0 > values[1]) or (values[0] < 0 < values[1])
 
 
+@lru_cache(maxsize=None)
 def lis_root(n: int) -> float:
     """
     Greatest real zero of the reduced run-count polynomial of index n.
     Exactly -1 for n = 1; in (-1/2, 0) and strictly increasing for n >= 2.
-    By the Chebyshev identity it is -4 sin^2(pi / (2(2n+1))); each value is
-    confirmed by an exact sign change of the polynomial around it.
+    By the Chebyshev identity it is -4 sin^2(pi / (2(2n+1))), cached per
+    index and confirmed by an exact sign change around it.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")

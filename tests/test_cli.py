@@ -10,6 +10,7 @@ import wilfcollapse
 from wilfcollapse import cli, engine
 from wilfcollapse.cli import run
 from wilfcollapse.encodings import ClassId
+from wilfcollapse.genfun import avoid_gf
 
 
 def capture(capsys):
@@ -119,6 +120,21 @@ def test_gf_output(capsys):
     assert code == 0
     assert out.splitlines()[0] == "num = 1; den = 1 - t"
     assert out.splitlines()[-1] == "4,1"
+
+
+def test_gf_expand_past_the_int_string_limit(capsys):
+    # a single layer grows like 2^m, so about 14,300 terms pass 4,300 digits
+    limit = sys.get_int_max_str_digits()
+    order = 3 * limit + 1500
+    code = run(["gf", "--class", "c3", "--pattern", "20", "--expand", str(order)])
+    out, err = capture(capsys)
+    coeffs = avoid_gf(ClassId.AV_312_231, (20,)).expand(order).integers()
+    bound = 10**limit
+    k = next(k for k, c in enumerate(coeffs) if c >= bound)
+    assert coeffs[k - 1] < bound
+    assert code == 1 and out == ""
+    assert err == f"error: the coefficient of t^{k} has more than {limit} digits; lower --expand\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_enumerate(capsys):

@@ -274,6 +274,7 @@ def test_lis_poly_cold_cache_large_index():
     # the closed form has no recursion depth: a cold index 1000 works
     lis_count_poly.cache_clear()
     reduced_lis_poly.cache_clear()
+    lis_root.cache_clear()
     poly = lis_count_poly(1000)
     assert poly.degree == 2000 and poly.coefficient(1000) == 1
     assert poly.coefficient(1001) == math.comb(1001, 2)
@@ -343,6 +344,65 @@ def test_layered_roots():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(PreconditionError):
         layered_root(1)
+
+
+def test_dyadic_points_bracket_the_root():
+    # both certificate points lie strictly inside root * (1 +- 5e-7), one on
+    # each side of the root
+    roots = [lis_root(n) for n in range(2, 401)] + [layered_root(a) for a in range(3, 401)]
+    for root in roots:
+        lo, hi, k = genfun._dyadic_bracket(root)
+        x = Fraction(root)
+        a, b = sorted((x * Fraction(1999999, 2000000), x * Fraction(2000001, 2000000)))
+        assert a < Fraction(lo, 2**k) < x < Fraction(hi, 2**k) < b, root
+
+
+def _fraction_endpoint_sign_change(poly, root):
+    # the certificate before the dyadic points: exact signs at the interval's
+    # own ends root * (1 +- 5e-7), as Fractions
+    def sign_at(x):
+        p, q = x.numerator, x.denominator
+        acc, q_power = 0, 1
+        for c in reversed(poly.coeffs):
+            acc = acc * p + c * q_power
+            q_power *= q
+        return (acc > 0) - (acc < 0)
+
+    x = Fraction(root)
+    half_width = x / 2_000_000
+    return sign_at(x - half_width) * sign_at(x + half_width) < 0
+
+
+def test_lis_certificate_matches_fraction_endpoints():
+    for n in range(2, 201):
+        poly = reduced_lis_poly(n)
+        value = -4.0 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2
+        assert genfun._changes_sign_around(poly, value), n
+        assert _fraction_endpoint_sign_change(poly, value), n
+        # a value off by 2e-6 brackets no zero: the check is not vacuous
+        off = value * (1 + 2e-6)
+        assert not genfun._changes_sign_around(poly, off), n
+        assert not _fraction_endpoint_sign_change(poly, off), n
+
+
+def test_layered_check_rejects_a_wrong_value(monkeypatch):
+    true_root = layered_root(10)
+    monkeypatch.setattr(genfun, "_bisect", lambda f, lo, hi: true_root * (1 + 2e-6))
+    layered_root.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            layered_root(10)
+    finally:
+        layered_root.cache_clear()
+
+
+def test_roots_are_cached_per_index():
+    lis_root.cache_clear()
+    layered_root.cache_clear()
+    for n in (2, 50, 151):
+        assert lis_root(n) is lis_root(n)
+        assert layered_root(n + 1) is layered_root(n + 1)
+    assert lis_root.cache_info().hits == layered_root.cache_info().hits == 3
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .canonical import (
     format_canonical_pair,
     format_canonical_partition,
 )
-from .encodings import ClassId, decode_function, format_function, generate, parse_element
+from .encodings import ClassId, format_function, member_texts, parse_element
 from .engine import (
     MAX_DEPTH,
     MAX_PATTERN_SIZE,
@@ -40,7 +40,8 @@ from .engine import (
 )
 from .errors import GFMismatchError, ParseError
 from .genfun import avoid_gf, layered_root, lis_root
-from .perms import format_perm
+
+MAX_ENUMERATE_SIZE = 18  # bounds the 2^(n-1) rows enumerate prints; it counts nothing
 
 
 def _at_least(low: int):
@@ -117,16 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_size_and_depth(args) -> None:
     """
-    Reject an enumerated size or --depth above MAX_DEPTH, a pattern size
-    above MAX_PATTERN_SIZE, a layered root table that stops before its
-    first index 2, and a --depth that cannot separate patterns of the given
-    size n: every member below size n avoids a size-n pattern and at size n
-    all but the pattern itself do, so to depth n all size-n patterns share
-    their counts.
+    Reject an enumerated size above MAX_ENUMERATE_SIZE, a --depth above
+    MAX_DEPTH, a pattern size above MAX_PATTERN_SIZE, a layered root table
+    that stops before its first index 2, and a --depth that cannot separate
+    patterns of the given size n: every member below size n avoids a size-n
+    pattern and at size n all but the pattern itself do, so to depth n all
+    size-n patterns share their counts.
     """
     parser = args.parser
-    if args.command == "enumerate" and args.n > MAX_DEPTH:
-        parser.error(f"--n {args.n} above the counting budget {MAX_DEPTH}")
+    if args.command == "enumerate" and args.n > MAX_ENUMERATE_SIZE:
+        parser.error(f"--n {args.n} above the enumeration limit {MAX_ENUMERATE_SIZE}")
     if args.command == "roots" and args.family == "layered" and args.max_n < 2:
         parser.error(f"--max-n {args.max_n} below 2, the first layered index")
     if getattr(args, "depth", None) is None:
@@ -192,20 +193,21 @@ _COLLAPSE_HEADER = [f.name for f in fields(CollapseRow)]
 
 def _cmd_enumerate(args) -> int:
     class_id = args.class_id
-    elements = generate(class_id, args.n)
-    fmt = format_function(class_id)
+    elements = member_texts(class_id, args.n, "element")
     if args.format == "json":
         payload = {
             "class": class_id.value,
             "n": args.n,
             "count": len(elements),
-            "elements": [fmt(e) for e in elements],
+            "elements": elements,
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        decode = decode_function(class_id)
-        rows = [(fmt(e), format_perm(decode(e))) for e in elements]
-        _emit(_csv_text(["element", "permutation"], rows), args.out)
+        # no text holds a quote or a line break: the csv writer quotes those with a comma
+        perms = member_texts(class_id, args.n, "permutation")
+        columns = ([f'"{t}"' if "," in t else t for t in texts] for texts in (elements, perms))
+        rows = "".join([f"{e},{p}\n" for e, p in zip(*columns)])
+        _emit("element,permutation\n" + rows, args.out)
     return 0
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import BasisViolationError, ParseError
-from .perms import Perm, involves, sum_decompose
+from .perms import Perm, format_perm, involves, sum_decompose
 
 Triple = tuple[int, int, int]
 WedgeWord = Optional[str]
@@ -121,16 +121,30 @@ def letters(class_id: ClassId, max_size: int) -> tuple:
     raise ValueError(f"{class_id.value} is not a word class")
 
 
+def _words(class_id: ClassId, size: int, empty, piece) -> list:
+    """
+    The words of size `size` over ``letters`` in generate's order, built
+    size by size with run letters first, so nothing is sorted.  A word of
+    size m is head + rest + tail, (head, tail) = piece(w, s, m) for its
+    first letter (w, s, run): in a member of size n a suffix of size m
+    holds the top m values n-m+1..n, so a piece may depend on m.
+    """
+    alphabet = letters(class_id, size)
+    no_run, words = [[empty]], [[empty]]  # no_run[m]: size-m words not starting with a run
+    for m in range(1, size + 1):
+        no_run.append([h + rest + t for w, s, run in alphabet if not run and s <= m
+                       for h, t in [piece(w, s, m)] for rest in words[m - s]])
+        words.append([h + rest + t for w, s, run in alphabet if run and s <= m
+                      for h, t in [piece(w, s, m)] for rest in no_run[m - s]] + no_run[m])
+    return words[size]
+
+
 @lru_cache(maxsize=None)
 def generate(class_id: ClassId, n: int) -> tuple[ClassElement, ...]:
     """
     All class members of size n in the native encoding, lexicographically
-    ordered by encoding, without duplicates.
-
-    Words are built size by size over ``letters``: no_run[m] holds the words
-    of size m not starting with a run letter, words[m] all of them.  Run
-    letters come first, so every table is lexicographic with no sort, and
-    each member costs one concatenation.  Only the size-n result is cached.
+    ordered by encoding, without duplicates; for c2-c4, ``_words`` with each
+    letter as its own piece.  Only the size-n result is cached.
     """
     if n < 0:
         raise ValueError("size must be non-negative")
@@ -140,19 +154,9 @@ def generate(class_id: ClassId, n: int) -> tuple[ClassElement, ...]:
     wedge = class_id is ClassId.AV_312_213
     if wedge and n == 0:
         return (None,)
-    size = n - 1 if wedge else n  # a wedge word of size n has n - 1 steps
-    alphabet = letters(class_id, size)
-    no_run: list[list] = [["" if wedge else ()]]
-    words: list[list] = [no_run[0]]
-    for m in range(1, size + 1):
-        no_run.append(
-            [w + rest for w, s, run in alphabet if not run and s <= m for rest in words[m - s]]
-        )
-        words.append(
-            [w + rest for w, s, run in alphabet if run and s <= m for rest in no_run[m - s]]
-            + no_run[m]
-        )
-    return tuple(words[size])
+    empty = "" if wedge else ()
+    # a wedge word of size n has n - 1 steps
+    return tuple(_words(class_id, n - 1 if wedge else n, empty, lambda w, s, m: (w, empty)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +216,6 @@ _DECODE = {
 def to_permutation(class_id: ClassId, e: ClassElement) -> Perm:
     validate_element(class_id, e)
     return _DECODE[class_id](e)
-
-
-def decode_function(class_id: ClassId):
-    """The raw decoder for a class, for members of generate; it validates nothing."""
-    return _DECODE[class_id]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +457,32 @@ def format_element(class_id: ClassId, e: ClassElement) -> str:
 def format_function(class_id: ClassId):
     """The raw text formatter for a class, for members of generate; it validates nothing."""
     return _FORMAT[class_id]
+
+
+def member_texts(class_id: ClassId, n: int, kind: str) -> list[str]:
+    """
+    The texts of generate(class_id, n) in its order, as ``format_element``
+    (kind "element") or ``format_perm`` (kind "permutation") writes them.
+    Past size 0, c2-c4 texts come from ``_words``, each letter's piece read
+    at base n - m and followed by a separator unless it ends the word.
+    """
+    if class_id is ClassId.AV_312_123 or n == 0:
+        fmt, decode = _FORMAT[class_id], _DECODE[class_id]
+        text = fmt if kind == "element" else lambda e: format_perm(decode(e))
+        return [text(e) for e in generate(class_id, n)]
+    wedge = class_id is ClassId.AV_312_213
+    sep = {ClassId.AV_312_231: "+", ClassId.AV_312_321: " "}.get(class_id, "")
+
+    def piece(w, s, m):
+        if kind == "element":
+            return _FORMAT[class_id](w) + (sep if s < m else ""), ""
+        if wedge:  # the step's value stands left (L) or right (R) of the peak n
+            return (f"{n - m},", "") if w == "L" else ("", f",{n - m}")
+        text = ",".join([str(n - m + v) for v in _DECODE[class_id](w)])
+        return text + ("," if s < m else ""), ""
+
+    empty = str(n) if wedge and kind == "permutation" else ""
+    return _words(class_id, n - 1 if wedge else n, empty, piece)
 
 
 def parse_element(class_id: ClassId, text: str) -> ClassElement:

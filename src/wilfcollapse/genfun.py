@@ -83,7 +83,10 @@ def reduced_lis_poly(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return Poly(tuple(math.comb(n + k, 2 * k) for k in range(n + 1)))
+    coeffs = [1]
+    for k in range(n):  # C(n+k+1, 2k+2) = C(n+k, 2k)(n+k+1)(n-k)/((2k+1)(2k+2)), exactly
+        coeffs.append(coeffs[-1] * (n + k + 1) * (n - k) // ((2 * k + 1) * (2 * k + 2)))
+    return Poly(tuple(coeffs))
 
 
 @lru_cache(maxsize=None)

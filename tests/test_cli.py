@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,9 @@ import pytest
 import wilfcollapse
 from wilfcollapse import cli, engine
 from wilfcollapse.cli import run
-from wilfcollapse.encodings import ClassId
+from wilfcollapse.encodings import ClassId, format_function, generate, to_permutation
 from wilfcollapse.genfun import avoid_gf
+from wilfcollapse.perms import format_perm
 
 
 def capture(capsys):
@@ -145,6 +148,62 @@ def test_enumerate(capsys):
     assert len(out.splitlines()) == 5
 
 
+def _enumerate_oracle(cid, n, fmt):
+    # the rows as formatting and decoding each generated member writes them
+    members = generate(cid, n)
+    texts = [format_function(cid)(e) for e in members]
+    if fmt == "json":
+        payload = {"class": cid.value, "n": n, "count": len(members), "elements": texts}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["element", "permutation"])
+    writer.writerows((t, format_perm(to_permutation(cid, e))) for t, e in zip(texts, members))
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cid", list(ClassId))
+def test_enumerate_rows_match_member_by_member_formatting(cid, fmt, capsys):
+    # c1 has quadratically many members: every size up to the limit
+    for n in range(cli.MAX_ENUMERATE_SIZE + 1 if cid is ClassId.AV_312_123 else 13):
+        assert run(["enumerate", "--class", cid.value, "--n", str(n), "--format", fmt]) == 0
+        out, _ = capture(capsys)
+        assert out == _enumerate_oracle(cid, n, fmt), (n, fmt)
+
+
+def test_enumerate_edge_rows(capsys):
+    # c2's empty permutation, and its size-1 member whose word is empty
+    for n, row in [(0, "e,e"), (1, ",1"), (2, 'L,"1,2"')]:
+        assert run(["enumerate", "--class", "c2", "--n", str(n)]) == 0
+        out, _ = capture(capsys)
+        assert out.splitlines()[1:2] == [row], n
+    assert run(["enumerate", "--class", "c4", "--n", "0", "--format", "json"]) == 0
+    out, _ = capture(capsys)
+    assert json.loads(out)["elements"] == ["e"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_out_file_matches_stdout(fmt, tmp_path, capsys):
+    argv = ["enumerate", "--class", "c4", "--n", "7", "--format", fmt]
+    assert run(argv) == 0
+    out, _ = capture(capsys)
+    target = tmp_path / f"rows.{fmt}"
+    assert run(argv + ["--out", str(target)]) == 0
+    assert capture(capsys) == ("", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_enumerate_has_its_own_limit(capsys):
+    assert cli.MAX_ENUMERATE_SIZE == 18
+    assert run(["enumerate", "--class", "c1", "--n", "18"]) == 0
+    out, _ = capture(capsys)
+    assert len(out.splitlines()) == 1 + 18 * 17 // 2 + 1
+    assert run(["enumerate", "--class", "c1", "--n", "19"]) == 2
+    _, err = capture(capsys)
+    assert err.endswith("error: --n 19 above the enumeration limit 18\n")
+
+
 def test_verify_failure_lines(monkeypatch, capsys):
     # deterministic fake counts that break every check: c3 patterns count by
     # their first part, every c1 pattern counts the same
@@ -201,7 +260,7 @@ def test_verify_ok_and_usage_error(capsys):
         ["gf", "--class", "c3", "--pattern", "2", "--format", "json"],
         ["canon", "--class", "c4", "--element", "a1 b3 a1", "--format", "json"],
         ["verify", "--class", "c4", "--n", "3", "--depth", "10", "--format", "json"],
-        # an enumerated size above the counting depth budget
+        # an enumerated size above the enumeration limit
         ["enumerate", "--class", "c2", "--n", "19"],
         # canonical forms and GFs exist for c3 and c4 only
         ["canon", "--class", "c1", "--element", "t:1,1,0"],

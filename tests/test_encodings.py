@@ -9,7 +9,6 @@ from wilfcollapse.encodings import (
     ClassId,
     avoiding_elements,
     class_leq,
-    decode_function,
     format_element,
     format_function,
     from_permutation,
@@ -76,11 +75,11 @@ REFERENCE_DECODE = {
 }
 
 
-def test_raw_decoder_and_formatter_match_the_definitions():
+def test_decoder_and_raw_formatter_match_the_definitions():
     for cid in ALL_CLASSES:
-        decode, fmt = decode_function(cid), format_function(cid)
+        fmt = format_function(cid)
         for e in elements_up_to(cid, 10):
-            assert decode(e) == REFERENCE_DECODE[cid](e), (cid, e)
+            assert to_permutation(cid, e) == REFERENCE_DECODE[cid](e), (cid, e)
             assert fmt(e) == format_element(cid, e), (cid, e)
 
 
@@ -96,6 +95,20 @@ def test_public_format_and_decode_validate(cid, bad):
         format_element(cid, bad)
     with pytest.raises(ValueError):
         to_permutation(cid, bad)
+
+
+def test_generate_lists_every_class_member_by_brute_force():
+    # every permutation of size n that avoids the basis, encoded, in order
+    for cid in ALL_CLASSES:
+        for n in range(1, 8):
+            members = [
+                from_permutation(cid, p)
+                for p in itertools.permutations(range(1, n + 1))
+                if not any(involves(b, p) for b in cid.basis)
+            ]
+            assert generate(cid, n) == tuple(sorted(members)), (cid, n)
+    assert generate(ClassId.AV_312_213, 0) == (None,)
+    assert all(generate(cid, 0) == ((),) for cid in (ClassId.AV_312_231, ClassId.AV_312_321))
 
 
 def test_generated_permutations_distinct_and_in_class():

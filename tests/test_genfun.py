@@ -281,6 +281,13 @@ def test_lis_poly_cold_cache_large_index():
     assert -1e-5 < lis_root(1000) < 0
 
 
+def test_lis_poly_coefficients_are_the_binomials():
+    # the coefficient ratio builds C(n+k, 2k) with exact integer division
+    for n in range(301):
+        expected = tuple(math.comb(n + k, 2 * k) for k in range(n + 1))
+        assert reduced_lis_poly(n).coeffs == expected, n
+
+
 @pytest.mark.parametrize(
     "cid, pattern",
     [(C3, (j,)) for j in range(1, 7)]

@@ -6,15 +6,28 @@ subsequence, and the real roots used to separate equivalence classes.
 Involvement is a sequence construction: a word involving a c3 or c4
 pattern is its shortest prefix involving the first letter, then a word
 involving the rest.  So the involvement GF is one product, reduced once
-(_involve_gf): the class GF 1 + t/(1-2t), which c3 and c4 share, times one
-factor per pattern letter.  A c3 layer a and a c4 drop letter b_a share the
-factor t^a/(1-2t+t^a).  A c4 run letter has its own (_run_prefix_gf), which
-for a1 is layer 1's, so the classes share GFs:
+(_pattern_gf): the class GF 1 + t/(1-2t) = (1-t)/(1-2t), which c3 and c4
+share, times one factor per pattern letter.  A c3 layer a and a c4 drop
+letter b_a share the factor t^a/(1-2t+t^a).  A c4 run letter has its own
+(_run_prefix_gf), which for a1 is layer 1's, so the classes share GFs:
 
 >>> avoid_gf_layered((3, 2)) == avoid_gf_sum_word((3, 2))
 True
 >>> avoid_gf_layered((2, 1)) == avoid_gf_sum_word((2, -1))
 True
+
+The denominator of that product is known factor by factor, so it is
+reduced by trial division, not by Euclid's gcd.  With D_j = 1 - t - ... -
+t^(j-1) (D_1 = 1, D_2 = 1-t), a layer or drop letter j has denominator
+1-2t+t^j = (1-t) D_j and a run letter has 1-t, so the product's denominator
+is 1-2t once, 1-t once per letter and once more per letter 2, and D_j once
+per letter j >= 3.  Each D_j with j >= 3 is irreducible over the rationals
+(M. A. Wolfram, "Solving generalized Fibonacci recurrences", Fibonacci
+Quart. 36, 1998), so the gcd of numerator and denominator is the product of
+those factors that divide the numerator, each as often as it divides both.
+Every factor has constant term 1, so the reduced pair has den(0) = 1 and is
+already in the normal form of series.RationalGF.  series.poly_gcd, which
+RationalGF(num, den) runs, stays the tests' oracle for this reduction.
 
 The sum words with longest increasing subsequence exactly n are counted by
 L_n = t^n b_n(t), where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
@@ -25,6 +38,8 @@ Chebyshev identity checked below.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,6 +48,7 @@ from .errors import PreconditionError
 from .series import ONE, Poly, RationalGF, T
 
 _ONE_MINUS_T = Poly.of(1, -1)
+_ONE_MINUS_2T = Poly.of(1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +85,7 @@ def avoid_gf_layered(pattern: Composition) -> RationalGF:
     pattern.  The empty pattern is avoided by nothing, so its value is 0.
     """
     validate_element(ClassId.AV_312_231, pattern)
-    return class_gf(ClassId.AV_312_231) - _involve_gf(pattern, _run_prefix_gf)
+    return _pattern_gf(pattern, _run_prefix_gf, avoid=True)
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +144,53 @@ def _run_prefix_gf(i: int) -> RationalGF:
     return RationalGF(lis_count_poly(i) - lis_count_poly(i - 1).shift(2), _ONE_MINUS_T)
 
 
-def _involve_gf(letters: tuple[int, ...], run_factor) -> RationalGF:
+def _pattern_gf(letters: tuple[int, ...], run_factor, avoid: bool = False) -> RationalGF:
     """
-    Involvement GF of a c3 or c4 pattern: the class GF times _prefix_gf(j)
-    for each layer or drop letter j and run_factor(i) for each run letter
-    a_i, multiplied out in one pass and reduced once.
+    Involvement GF of a c3 or c4 pattern, or with avoid its avoidance GF.
+    With Q and P the products of the numerators and of the denominators of
+    _prefix_gf(j) for each layer or drop letter j and run_factor(i) for each
+    run letter a_i, involvement is (1-t) Q / ((1-2t) P) and avoidance, the
+    class GF minus that, is (1-t) (P - Q) / ((1-2t) P).  The denominator's
+    irreducible factors are counted while multiplying and divided out once
+    (module docstring).
     """
-    gf = class_gf(ClassId.AV_312_321)
-    num, den = gf.num, gf.den
+    num, den = ONE, ONE
+    factors = Counter({_ONE_MINUS_2T: 1})
     for letter in letters:
         factor = _prefix_gf(letter) if letter > 0 else run_factor(-letter)
         num, den = num * factor.num, den * factor.den
-    return RationalGF(num, den)
+        factors[_ONE_MINUS_T] += 1
+        if letter >= 2:  # 1 - 2t + t^j = (1-t) D_j, and D_2 is 1-t again
+            factors[layered_denominator(letter)] += 1
+    if avoid:
+        num = den - num
+    num, den = _ONE_MINUS_T * num, _ONE_MINUS_2T * den
+    for factor, multiplicity in factors.items():
+        for _ in range(multiplicity):
+            quotient = _exact_quotient(num, factor)
+            if quotient is None:
+                break
+            num, den = quotient, _exact_quotient(den, factor)
+    return RationalGF._reduced(num, den)
+
+
+def _exact_quotient(poly: Poly, factor: Poly) -> Poly | None:
+    """
+    poly / factor when factor divides poly, else None; factor has constant
+    term 1.  The series quotient then runs from the constant term up in
+    integers, and factor divides poly exactly when that quotient vanishes at
+    the deg(factor) indices above deg(poly) - deg(factor): the quotient
+    truncated there times factor differs from poly by a polynomial of degree
+    at most deg(poly) with no term below deg(poly) + 1.
+    """
+    tail = factor.coeffs[1:]
+    quotient = []
+    for c in poly.coeffs:  # c_k - f_1 q_(k-1) - f_2 q_(k-2) - ...
+        quotient.append(c - sum(map(operator.mul, tail, reversed(quotient))))
+    cut = max(len(quotient) - len(tail), 0)
+    if any(quotient[cut:]):
+        return None
+    return Poly(tuple(quotient[:cut]))
 
 
 @lru_cache(maxsize=None)
@@ -149,12 +200,14 @@ def involve_gf_sum_word(word: SumWord) -> RationalGF:
     Exact: expansions match brute-force counts.
     """
     validate_element(ClassId.AV_312_321, word)
-    return _involve_gf(word, _run_prefix_gf)
+    return _pattern_gf(word, _run_prefix_gf)
 
 
+@lru_cache(maxsize=None)
 def avoid_gf_sum_word(word: SumWord) -> RationalGF:
     """Generating function of the class members avoiding the given sum word."""
-    return class_gf(ClassId.AV_312_321) - involve_gf_sum_word(word)
+    validate_element(ClassId.AV_312_321, word)
+    return _pattern_gf(word, _run_prefix_gf, avoid=True)
 
 
 def avoid_gf(class_id: ClassId, pattern) -> RationalGF:
@@ -169,14 +222,14 @@ def avoid_gf(class_id: ClassId, pattern) -> RationalGF:
 def involve_gf_product_form(word: SumWord) -> RationalGF:
     """
     The naive product form of the involvement GF: the exact product
-    (_involve_gf) with the run factor L_i/(1-t) in place of
+    (_pattern_gf) with the run factor L_i/(1-t) in place of
     (L_i - t^2 L_(i-1))/(1-t), reduced once.  It vanishes at the
     reduced-polynomial roots of its run letters, but it is NOT exact: its
     expansion differs from the brute-force-checked counts already for the
     single letter a2.  Diagnostic use only.
     """
     validate_element(ClassId.AV_312_321, word)
-    return _involve_gf(word, lambda i: RationalGF(lis_count_poly(i), _ONE_MINUS_T))
+    return _pattern_gf(word, lambda i: RationalGF(lis_count_poly(i), _ONE_MINUS_T))
 
 
 def special_pair_gfs(k: int) -> tuple[RationalGF, RationalGF]:

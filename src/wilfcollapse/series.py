@@ -7,6 +7,11 @@ is stored reduced: divided by the primitive gcd of numerator and denominator
 (Knuth, TAOCP vol. 2, 4.6.1), then by their common content, signed so that
 den(0) > 0.  This form is unique, has a series expansion, makes pole tests
 meaningful, and has den(0) == 1 whenever the series has integer coefficients.
+
+RationalGF(num, den) always reduces by the gcd.  The private constructor
+RationalGF._reduced(num, den) trusts that the pair is already in this form
+and sets the fields as given; only genfun calls it, on pairs it has reduced
+by their known denominator factors.
 """
 from __future__ import annotations
 
@@ -153,7 +158,8 @@ class RationalGF:
     """
     Quotient of two integer polynomials with nonzero denominator constant
     term, stored in the module docstring's reduced form: equal functions have
-    equal fields.
+    equal fields.  _reduced builds one from a pair already in that form,
+    without the gcd; its caller vouches for the form (genfun only).
 
     >>> print(RationalGF(Poly.of(0, 2), Poly.of(2, -2)))
     num = t; den = 1 - t
@@ -172,6 +178,14 @@ class RationalGF:
         g = g.scale(sign * math.gcd(*num.coeffs, *den.coeffs))
         object.__setattr__(self, "num", num.divmod(g)[0])
         object.__setattr__(self, "den", den.divmod(g)[0])
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RationalGF":
+        """A pair already in the reduced form, stored as given: no gcd, no checks."""
+        gf = object.__new__(cls)
+        object.__setattr__(gf, "num", num)
+        object.__setattr__(gf, "den", den)
+        return gf
 
     @classmethod
     def of(cls, num: Poly | int) -> "RationalGF":

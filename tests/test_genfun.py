@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import sys
 import time
@@ -104,6 +105,7 @@ def test_avoid_gf_picks_the_class_gf(monkeypatch):
 
 def test_involve_gf_base_case():
     assert involve_gf_sum_word(()) == class_gf(C4)
+    assert avoid_gf_sum_word(()) == RationalGF.of(0)  # avoided by nothing: fields (0, 1)
     # the per-letter recursion, kept as an oracle for the one-pass product
     words = [w for n in range(1, 10) for w in generate(C4, n)]
     assert len(words) == 511
@@ -148,6 +150,75 @@ def test_no_recursion_per_pattern_letter():
         sys.setrecursionlimit(limit)
     for gf in gfs:
         assert gf.expand(12).integers() == (1,) + tuple(2**k for k in range(12))
+
+
+def gcd_path(letters, run_factor):
+    # the parts of the product multiplied out unreduced and reduced by
+    # Euclid's gcd in RationalGF's constructor; avoidance as a difference
+    num, den = class_gf(C4).num, class_gf(C4).den
+    for letter in letters:
+        factor = genfun._prefix_gf(letter) if letter > 0 else run_factor(-letter)
+        num, den = num * factor.num, den * factor.den
+    involve = RationalGF(num, den)
+    return involve, class_gf(C4) - involve
+
+
+def naive_run_factor(i):
+    return RationalGF(lis_count_poly(i), Poly.of(1, -1))
+
+
+def test_known_factor_reduction_matches_the_gcd():
+    # every GF reduced by its known denominator factors has the fields the
+    # gcd gives, over every c3 composition of size <= 12 and every c4 sum
+    # word of size <= 10
+    compositions = [p for n in range(13) for p in generate(C3, n)]
+    assert len(compositions) == 4096
+    for p in compositions:
+        gf = avoid_gf_layered(p)
+        expected = gcd_path(p, genfun._run_prefix_gf)[1]
+        assert (gf.num, gf.den) == (expected.num, expected.den), p
+    words = [w for n in range(11) for w in generate(C4, n)]
+    assert len(words) == 1024
+    for w in words:
+        involve, avoid = gcd_path(w, genfun._run_prefix_gf)
+        naive = gcd_path(w, naive_run_factor)[0]
+        for gf, expected in (
+            (involve_gf_sum_word(w), involve),
+            (avoid_gf_sum_word(w), avoid),
+            (involve_gf_product_form(w), naive),
+        ):
+            assert (gf.num, gf.den) == (expected.num, expected.den), w
+
+
+@pytest.mark.parametrize(
+    "cid, pattern",
+    [(C3, (3,) * 15), (C3, (3, 4, 5) * 5), (C4, (-2, 3) * 8), (C4, (-1, 2) * 10), (C4, (3,) * 20)],
+)
+def test_repeated_factors_leave_the_normal_form(cid, pattern):
+    # a denominator factor repeated 15-20 times, beyond the exhaustive range
+    # above: renormalising by the gcd changes nothing exactly when the
+    # trusted pair is already reduced
+    gfs = [avoid_gf(cid, pattern)]
+    if cid is C4:
+        gfs += [involve_gf_sum_word(pattern), involve_gf_product_form(pattern)]
+    for gf in gfs:
+        assert RationalGF(gf.num, gf.den) == gf
+        assert gf.den.coefficient(0) == 1
+
+
+def test_exact_quotient_decides_divisibility():
+    # against the gcd for every polynomial of degree <= 4 with coefficients
+    # -1, 0, 1, and for multiples of each factor, by every factor kind the
+    # reduction divides out: 1-2t, 1-t and D_3, D_4
+    factors = [Poly.of(1, -2), Poly.of(1, -1), layered_denominator(3), layered_denominator(4)]
+    small = [Poly(c) for c in itertools.product((-1, 0, 1), repeat=5)]
+    for f in factors:
+        for p in small + [f * q for q in small]:
+            quotient = genfun._exact_quotient(p, f)
+            if poly_gcd(p, f) == f.primitive():
+                assert quotient * f == p, (p, f)
+            else:
+                assert quotient is None, (p, f)
 
 
 def test_product_form_vanishes_but_overcounts():

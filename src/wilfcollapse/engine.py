@@ -10,10 +10,13 @@ whether the last letter was a run letter) rather than by enumerating the
 2^(m-1) members of each size m.  For a pattern of k letters whose largest
 run letter has index r (r = 1 in c2 and c3), counting to depth d keeps at
 most 2kr states per size, runs the scan on each state and each one-letter
-word of size at most d once, and takes O(k r d^2) steps in all.  c1 alone
-is counted by enumerating its m(m-1)/2 + 1 members of each size m with its
-order test.  Enumerating ``generate`` with ``class_leq`` remains the oracle
-the tests compare the dynamic program against.
+word of size at most d once, and takes O(k r d^2) steps in all.  c1's
+members of size m are m(m-1)/2 + 1 lattice points: the decreasing triple and
+the corner triples (a, b, c) with a, b >= 1.  Each of the two rules of its
+order test leaves a number of avoiders per size that is a binomial or two
+(``_triple_counts``), so c1 is counted in O(d) steps with nothing enumerated.
+Enumerating ``generate`` with ``class_leq`` (``encodings.avoiding_elements``)
+remains the oracle the tests compare all four classes' counts against.
 
 Everything here is a deterministic reduction over immutable inputs, with a
 cache keyed by (class, pattern, depth) so repeated verifications are free.
@@ -28,7 +31,7 @@ from .canonical import canonical_class_count, canonical_key
 from .encodings import (
     ClassElement,
     ClassId,
-    avoiding_elements,
+    Triple,
     generate,
     letters,
     scan_automaton,
@@ -106,6 +109,28 @@ def _scan_counts(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[
     return tuple(sum(row.values()) for row in table)
 
 
+def _triple_counts(pattern: Triple, depth: int) -> tuple[int, ...]:
+    """
+    Numbers of corner triples of size 0..depth avoiding the pattern of size
+    n, read off the two rules of ``encodings._triple_leq``; each size m has
+    C(m, 2) + 1 members, C(k, 2) being 0 for k < 2.  A corner pattern is
+    involved in no decreasing member and in the corner members that dominate
+    it part by part, C(m - n + 2, 2) of them.  The decreasing pattern, the
+    empty one included, is involved in (0, 0, m) once m >= n and in the
+    (a, b, c) with m - min(a, b) >= n, which leaves C(2n - m, 2) avoiders.
+    """
+
+    def pairs(k: int) -> int:
+        return k * (k - 1) // 2 if k > 1 else 0
+
+    n = sum(pattern)
+    if pattern[0]:
+        return tuple(pairs(m) + 1 - pairs(m - n + 2) for m in range(depth + 1))
+    return tuple(
+        pairs(m) + 1 if m < n else pairs(2 * n - m) for m in range(depth + 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[int, ...]:
     """
@@ -114,8 +139,12 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
     c2, c3 and c4 are counted by the dynamic program over (size, scan
     state, last letter is a run letter) of ``_scan_counts``; a c2 word has
     one letter fewer than its size, and the empty permutation None avoids
-    every pattern but None.  c1 is counted by enumerating its members.
+    every pattern but None.  c1 is counted by the binomials of
+    ``_triple_counts``: a decreasing pattern leaves no avoiders past twice
+    its size less two.
 
+    >>> count_avoiders(ClassId.AV_312_123, (0, 0, 3), 6)
+    (1, 1, 2, 3, 1, 0, 0)
     >>> count_avoiders(ClassId.AV_312_231, (2, 1), 6)
     (1, 1, 2, 3, 4, 5, 6)
     >>> count_avoiders(ClassId.AV_312_213, None, 3)
@@ -126,9 +155,7 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
     _check_budget(None, depth)
     validate_element(class_id, pattern)
     if class_id is ClassId.AV_312_123:
-        counts = tuple(
-            len(avoiding_elements(class_id, pattern, m)) for m in range(depth + 1)
-        )
+        counts = _triple_counts(pattern, depth)
     elif class_id is ClassId.AV_312_213:
         if pattern is None:
             counts = (0,) * (depth + 1)

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from wilfcollapse.engine import (
 from wilfcollapse.errors import BudgetExceededError
 from wilfcollapse.genfun import avoid_gf
 from wilfcollapse.perms import involves
+from wilfcollapse.series import Poly, RationalGF
 
 C1, C2, C3, C4 = ClassId
 
@@ -75,6 +78,39 @@ def test_count_avoiders_matches_brute_force_in_criterion_2_range():
                 assert count_avoiders(cid, pattern, 16) == brute_counts(
                     cid, pattern, 16
                 ), (cid, pattern)
+
+
+def test_count_avoiders_matches_brute_force_for_c1():
+    # c1's binomial counts equal enumeration with the order test for every
+    # pattern of size 0-20 to depth 18, patterns larger than the depth included
+    for n in range(21):
+        for pattern in generate(C1, n):
+            assert count_avoiders(C1, pattern, 18) == brute_counts(
+                C1, pattern, 18
+            ), pattern
+
+
+def c1_closed_form(pattern):
+    """ROADMAP item 1's avoidance GF of a c1 pattern of size n >= 2."""
+    n = sum(pattern)
+    one_minus_t = Poly.of(1, -1)
+    if pattern[0]:
+        return RationalGF(Poly.of(1), one_minus_t) + RationalGF(
+            Poly.monomial(2) - Poly.monomial(n), one_minus_t * one_minus_t * one_minus_t
+        )
+    below = [comb(m, 2) + 1 for m in range(n)]
+    above = [comb(2 * n - m, 2) for m in range(n, 2 * n - 1)]
+    return RationalGF.of(Poly.of(*below, *above))
+
+
+def test_count_avoiders_matches_closed_forms_for_c1():
+    # a second oracle: every c1 pattern of size 2-12 to depth 18
+    for n in range(2, 13):
+        for pattern in generate(C1, n):
+            assert (
+                count_avoiders(C1, pattern, 18)
+                == c1_closed_form(pattern).expand(18).integers()
+            ), pattern
 
 
 C3_C4_PATTERNS = [(cid, p) for cid in (C3, C4) for n in range(8) for p in generate(cid, n)]

@@ -246,17 +246,19 @@ def _cmd_gf(args) -> int:
     gf = avoid_gf(args.class_id, parse_element(args.class_id, args.pattern))
     text = str(gf) + "\n"
     if args.expand is not None:
-        coeffs = gf.expand(args.expand).integers()
+        # exact Decimal integers: no big int is ever converted to text
+        coeffs = gf.decimal_coefficients(args.expand)
+        # Python's int-to-string limit stays the bound on a printed coefficient;
         # 0 (no limit) on a Python without one, before 3.10.7
         limit = getattr(sys, "get_int_max_str_digits", int)()
         for k, c in enumerate(coeffs):
-            # 10^limit > 2^(3 limit), so only so wide a coefficient can be too long
-            if limit and c.bit_length() > 3 * limit and abs(c) >= 10**limit:
+            if limit and c.adjusted() >= limit:  # adjusted() is the digit count - 1
                 raise ValueError(
                     f"the coefficient of t^{k} has more than {limit} digits; lower --expand"
                 )
-        # integers are never quoted, so these are the csv writer's bytes
-        text += "n,count\n" + "".join(f"{k},{c}\n" for k, c in enumerate(coeffs))
+        # integers are never quoted, so these are the csv writer's bytes; !s, as
+        # Decimal.__format__ takes twice as long as str
+        text += "n,count\n" + "".join([f"{k},{c!s}\n" for k, c in enumerate(coeffs)])
     _emit(text, args.out)
     return 0
 

@@ -38,14 +38,13 @@ Chebyshev identity checked below.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .encodings import ClassId, Composition, SumWord, validate_element
 from .errors import PreconditionError
-from .series import ONE, Poly, RationalGF, T
+from .series import ONE, Poly, RationalGF, T, _series
 
 _ONE_MINUS_T = Poly.of(1, -1)
 _ONE_MINUS_2T = Poly.of(1, -2)
@@ -177,17 +176,14 @@ def _pattern_gf(letters: tuple[int, ...], run_factor, avoid: bool = False) -> Ra
 def _exact_quotient(poly: Poly, factor: Poly) -> Poly | None:
     """
     poly / factor when factor divides poly, else None; factor has constant
-    term 1.  The series quotient then runs from the constant term up in
-    integers, and factor divides poly exactly when that quotient vanishes at
-    the deg(factor) indices above deg(poly) - deg(factor): the quotient
+    term 1.  The series quotient (series._series) then runs in integers, and
+    factor divides poly exactly when that quotient vanishes at the
+    deg(factor) indices above deg(poly) - deg(factor): the quotient
     truncated there times factor differs from poly by a polynomial of degree
     at most deg(poly) with no term below deg(poly) + 1.
     """
-    tail = factor.coeffs[1:]
-    quotient = []
-    for c in poly.coeffs:  # c_k - f_1 q_(k-1) - f_2 q_(k-2) - ...
-        quotient.append(c - sum(map(operator.mul, tail, reversed(quotient))))
-    cut = max(len(quotient) - len(tail), 0)
+    quotient = _series(poly.coeffs, factor.coeffs, poly.degree)
+    cut = max(len(quotient) - factor.degree, 0)
     if any(quotient[cut:]):
         return None
     return Poly(tuple(quotient[:cut]))

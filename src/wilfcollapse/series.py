@@ -12,12 +12,19 @@ RationalGF(num, den) always reduces by the gcd.  The private constructor
 RationalGF._reduced(num, den) trusts that the pair is already in this form
 and sets the fields as given; only genfun calls it, on pairs it has reduced
 by their known denominator factors.
+
+Every series quotient comes from one recurrence, _series: the expansion in
+ints or Fractions, the expansion in exact Decimals that the CLI prints
+(converting a Decimal integer to text takes linear time, a big int
+quadratic time), and genfun's exact polynomial division.
 """
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import PoleError
@@ -139,6 +146,40 @@ class Poly:
 ONE = Poly.of(1)
 T = Poly.of(0, 1)
 
+# Integer arithmetic in Decimals: any rounding raises instead of losing a digit
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
+
+
+def _series(num, den, order: int) -> list:
+    """
+    Coefficients 0 to order of the power series num/den, for coefficient
+    sequences num and den of one number type (int, Fraction or Decimal)
+    with den[0] == 1.  The recurrence f_n = num_n - den_1 f_(n-1) - ... -
+    den_d f_(n-d) (Flajolet and Sedgewick, Analytic Combinatorics, IV.3)
+    runs over the taps (k, -den_k) of den's nonzero terms past the constant,
+    on a list with d zeros in front, so no index is tested.
+
+    >>> _series((1,), (1, -1, -1), 6)
+    [1, 1, 2, 3, 5, 8, 13]
+    """
+    taps = [(k, -c) for k, c in enumerate(den) if k and c]
+    zero = 0 * den[0]  # a zero of den's type
+    pad = len(den) - 1
+    f = [zero] * pad
+    f += num[: order + 1]
+    f += [zero] * (pad + order + 1 - len(f))
+    for n in range(pad, len(f)):
+        acc = f[n]
+        for k, c in taps:
+            acc += c * f[n - k]
+        f[n] = acc
+    return f[pad:]
+
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """
@@ -212,17 +253,31 @@ class RationalGF:
         return RationalGF(self.num * other.den, self.den * other.num)
 
     def expand(self, order: int) -> "TruncSeries":
-        """Series expansion to the given order, by long division."""
+        """Series expansion to the given order: ints, or Fractions when den(0) != 1."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        coeffs = []
-        den = self.den.coeffs
-        for n in range(order + 1):
-            acc = self.num.coefficient(n)
-            for k in range(1, min(n, len(den) - 1) + 1):
-                acc -= den[k] * coeffs[n - k]
-            coeffs.append(acc if den[0] == 1 else Fraction(acc, den[0]))
-        return TruncSeries(tuple(coeffs))
+        num, den, lead = self.num.coeffs, self.den.coeffs, self.den.coeffs[0]
+        if lead != 1:
+            num, den = [Fraction(c, lead) for c in num], [Fraction(c, lead) for c in den]
+        return TruncSeries(tuple(_series(num, den, order)))
+
+    def decimal_coefficients(self, order: int) -> tuple[Decimal, ...]:
+        """
+        The coefficients of expand(order) as exact Decimal integers, which
+        print in linear time; raises ValueError like TruncSeries.integers
+        when one is not an integer.  A reduced den(0) other than 1 means a
+        non-integral series, so that case takes expand's Fractions.
+
+        >>> RationalGF(Poly.of(1, -1), Poly.of(1, 1)).decimal_coefficients(3)
+        (Decimal('1'), Decimal('-2'), Decimal('2'), Decimal('-2'))
+        """
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        if self.den.coeffs[0] != 1:
+            return tuple(map(Decimal, self.expand(order).integers()))
+        num, den = (tuple(map(Decimal, p.coeffs)) for p in (self.num, self.den))
+        with decimal.localcontext(_EXACT):
+            return tuple(_series(num, den, order))
 
     def __str__(self) -> str:
         return f"num = {self.num}; den = {self.den}"

@@ -138,6 +138,13 @@ def test_gf_expand_past_the_int_string_limit(capsys):
     assert code == 1 and out == ""
     assert err == f"error: the coefficient of t^{k} has more than {limit} digits; lower --expand\n"
     assert sys.get_int_max_str_digits() == limit
+    # one term fewer prints, and its last coefficient has exactly limit digits
+    code = run(["gf", "--class", "c3", "--pattern", "20", "--expand", str(k - 1)])
+    out, err = capture(capsys)
+    assert code == 0 and err == ""
+    last = out.splitlines()[-1]
+    assert last == f"{k - 1},{coeffs[k - 1]}"
+    assert len(last.partition(",")[2]) == limit
 
 
 def test_enumerate(capsys):

@@ -12,6 +12,7 @@ from wilfcollapse.encodings import (
     ClassId,
     generate,
     leq_function,
+    parse_element,
     size_of,
     to_permutation,
     validate_element,
@@ -82,11 +83,30 @@ def test_avoid_gf_sum_word_matches_brute_force(n):
 
 
 def test_avoidance_gfs_have_int_coefficients():
-    gfs = [avoid_gf_layered(p) for n in range(8) for p in generate(C3, n)]
-    gfs += [avoid_gf_sum_word(w) for n in range(7) for w in generate(C4, n)]
+    # avoidance and involvement GFs of every c3 composition of size <= 8 and
+    # every c4 sum word of size <= 7: int series, and the exact Decimal
+    # expansion the CLI prints holds the same integers
+    gfs = []
+    for p in (p for n in range(9) for p in generate(C3, n)):
+        gfs += [avoid_gf_layered(p), class_gf(C3) - avoid_gf_layered(p)]
+    for w in (w for n in range(8) for w in generate(C4, n)):
+        gfs += [avoid_gf_sum_word(w), involve_gf_sum_word(w)]
+    assert len(gfs) == 2 * (256 + 128)
     for gf in gfs:
-        coeffs = gf.num.coeffs + gf.den.coeffs + gf.expand(12).coeffs
+        coeffs = gf.num.coeffs + gf.den.coeffs + gf.expand(40).coeffs
         assert all(type(c) is int for c in coeffs), gf
+        assert gf.decimal_coefficients(40) == gf.expand(40).coeffs, gf
+
+
+@pytest.mark.parametrize("cid, text", [(C3, "4+1"), (C4, "a2 b3")])
+def test_deep_decimal_expansion_prints_the_int_digits(cid, text):
+    # to order 4,000 (last coefficients of 1,059 and 837 digits), as the
+    # text gf --expand writes: str of each coefficient
+    gf = avoid_gf(cid, parse_element(cid, text))
+    decimals = gf.decimal_coefficients(4000)
+    ints = gf.expand(4000).integers()
+    assert len(str(ints[-1])) > 800
+    assert list(map(str, decimals)) == list(map(str, ints))
 
 
 def test_avoid_gf_picks_the_class_gf(monkeypatch):

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -114,8 +115,27 @@ def test_expand_non_integral_series():
     assert coeffs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
     assert all(type(c) is Fraction for c in coeffs)
     assert f == RationalGF(Poly.of(3), Poly.of(6, -3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as from_ints:
         f.expand(3).integers()
+    with pytest.raises(ValueError) as from_decimals:
+        f.decimal_coefficients(3)
+    assert str(from_decimals.value) == str(from_ints.value)
+    # den(0) = 2, yet 2/(2 - t) is integral up to order 0, as integers() says
+    g = RationalGF(Poly.of(2), Poly.of(2, -1))
+    assert g.decimal_coefficients(0) == g.expand(0).integers() == (1,)
+
+
+@pytest.mark.parametrize(
+    "num, den", [((1,), (1, 0, 1)), ((1, -1), (1, 1)), ((0, 0, -3), (1, -1, 2)), ((), (1,))]
+)
+def test_decimal_coefficients_print_as_ints(num, den):
+    # negative and zero coefficients: no -0 and no exponent notation
+    f = RationalGF(Poly(num), Poly(den))
+    decimals = f.decimal_coefficients(30)
+    assert all(type(c) is Decimal for c in decimals)
+    assert list(map(str, decimals)) == list(map(str, f.expand(30).integers()))
+    with pytest.raises(ValueError):
+        f.decimal_coefficients(-1)
 
 
 def test_expand_class_gf():

@@ -162,11 +162,13 @@ def _apply_config(argv: list[str]) -> list[str]:
         return argv
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
+            if not key.strip():  # "--" would end option parsing
+                raise ValueError(f"{path}, line {number}: no key in {line!r}")
             injected += [f"--{key.strip()}", value.strip()]
     # Defaults go right after the subcommand so explicit flags win.
     return argv[:1] + injected + argv[1:]
@@ -332,7 +334,7 @@ _COMMANDS = {
 def run(argv: list[str]) -> int:
     try:
         argv = _apply_config(argv)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -16,18 +16,22 @@ True
 >>> avoid_gf_layered((2, 1)) == avoid_gf_sum_word((2, -1))
 True
 
-The denominator of that product is known factor by factor, so it is
-reduced by trial division, not by Euclid's gcd.  With D_j = 1 - t - ... -
-t^(j-1) (D_1 = 1, D_2 = 1-t), a layer or drop letter j has denominator
-1-2t+t^j = (1-t) D_j and a run letter has 1-t, so the product's denominator
-is 1-2t once, 1-t once per letter and once more per letter 2, and D_j once
-per letter j >= 3.  Each D_j with j >= 3 is irreducible over the rationals
-(M. A. Wolfram, "Solving generalized Fibonacci recurrences", Fibonacci
-Quart. 36, 1998), so the gcd of numerator and denominator is the product of
-those factors that divide the numerator, each as often as it divides both.
-Every factor has constant term 1, so the reduced pair has den(0) = 1 and is
-already in the normal form of series.RationalGF.  series.poly_gcd, which
-RationalGF(num, den) runs, stays the tests' oracle for this reduction.
+The product is reduced in closed form, with no gcd.  Write P and Q for the
+products of the letter factors' denominators and numerators, and D_j for
+1 - t - ... - t^(j-1).  A layer or drop letter j has t^j/((1-t) D_j), a run
+letter N_i/(1-t) with N_1 = t and, by the recursion below, N_i = L_i -
+t^2 L_(i-1) = t^i (2 b_(i-1) - b_(i-2)).
+(a) Q > 0 for t > 0: 2 b_(i-1) - b_(i-2) has nonnegative coefficients, as
+    C(n+k, 2k) grows with n.  Each D_j, j >= 3, is irreducible over the
+    rationals (M. A. Wolfram, "Solving generalized Fibonacci recurrences",
+    Fibonacci Quart. 36, 1998) and has a zero in (1/2, 1), as D_j(1/2) =
+    2^(1-j) > 0 > 2 - j = D_j(1).  So D_j and 1-t divide neither Q nor P - Q.
+(b) P(1/2) > 0, so (1-2t) P has the factor 1-2t exactly once.
+(c) Every exact factor is 1 at t = 1/2 (2^-j/2^-j for a layer; 2 N_i(1/2)
+    = 1, as L_n(1/2) = 2/3 + 4^-n/3), so 1-2t divides P - Q.
+So involvement, (1-t) Q / ((1-2t) P), is Q over (1-2t) P/(1-t), avoidance
+is (P-Q)/(1-2t) over P/(1-t), both reduced with den(0) = 1, and the naive
+product form needs only (a) and (b).  series.poly_gcd stays the oracle.
 
 The sum words with longest increasing subsequence exactly n are counted by
 L_n = t^n b_n(t), where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
@@ -38,7 +42,6 @@ Chebyshev identity checked below.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -145,32 +148,24 @@ def _run_prefix_gf(i: int) -> RationalGF:
 
 def _pattern_gf(letters: tuple[int, ...], run_factor, avoid: bool = False) -> RationalGF:
     """
-    Involvement GF of a c3 or c4 pattern, or with avoid its avoidance GF.
-    With Q and P the products of the numerators and of the denominators of
-    _prefix_gf(j) for each layer or drop letter j and run_factor(i) for each
-    run letter a_i, involvement is (1-t) Q / ((1-2t) P) and avoidance, the
-    class GF minus that, is (1-t) (P - Q) / ((1-2t) P).  The denominator's
-    irreducible factors are counted while multiplying and divided out once
-    (module docstring).
+    Involvement GF of a c3 or c4 pattern, or with avoid its avoidance GF,
+    reduced in closed form (module docstring) with P and Q the products over
+    the letters of the denominators and numerators of _prefix_gf(j) for a
+    layer or drop letter j and of run_factor(i) for a run letter a_i.  A
+    division the proof makes exact raises ArithmeticError if it is not.
     """
+    if not letters:  # involved by every word, avoided by none
+        return RationalGF.of(0) if avoid else class_gf(ClassId.AV_312_321)
     num, den = ONE, ONE
-    factors = Counter({_ONE_MINUS_2T: 1})
     for letter in letters:
         factor = _prefix_gf(letter) if letter > 0 else run_factor(-letter)
         num, den = num * factor.num, den * factor.den
-        factors[_ONE_MINUS_T] += 1
-        if letter >= 2:  # 1 - 2t + t^j = (1-t) D_j, and D_2 is 1-t again
-            factors[layered_denominator(letter)] += 1
     if avoid:
-        num = den - num
-    num, den = _ONE_MINUS_T * num, _ONE_MINUS_2T * den
-    for factor, multiplicity in factors.items():
-        for _ in range(multiplicity):
-            quotient = _exact_quotient(num, factor)
-            if quotient is None:
-                break
-            num, den = quotient, _exact_quotient(den, factor)
-    return RationalGF._reduced(num, den)
+        num = _exact_quotient(den - num, _ONE_MINUS_2T)
+    den = _exact_quotient(den, _ONE_MINUS_T)
+    if num is None or den is None:
+        raise ArithmeticError(f"the closed form does not reduce the GF of {letters}")
+    return RationalGF._reduced(num, den if avoid else _ONE_MINUS_2T * den)
 
 
 def _exact_quotient(poly: Poly, factor: Poly) -> Poly | None:

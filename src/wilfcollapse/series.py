@@ -10,8 +10,8 @@ meaningful, and has den(0) == 1 whenever the series has integer coefficients.
 
 RationalGF(num, den) always reduces by the gcd.  The private constructor
 RationalGF._reduced(num, den) trusts that the pair is already in this form
-and sets the fields as given; only genfun calls it, on pairs it has reduced
-by their known denominator factors.
+and sets the fields as given; only genfun calls it, on pairs that its
+closed form proves reduced.
 
 Every series quotient comes from one recurrence, _series: the expansion in
 ints or Fractions, the expansion in exact Decimals that the CLI prints

@@ -385,6 +385,18 @@ def test_config_file_not_utf8_is_unreadable(tmp_path, capsys):
     assert err.startswith("cannot read config: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["=3", " = 12"])
+def test_config_line_without_key_is_unreadable(tmp_path, capsys, line):
+    # an empty key would inject "--", which ends option parsing
+    config = tmp_path / "run.conf"
+    config.write_text(f"depth=12\n{line}\n")
+    code = run(["classify", "--config", str(config), "--class", "c3", "--n", "4"])
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot read config: ") and f"line 2: no key in {line.strip()!r}" in err
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
     assert cli._config_finder() is cli._config_finder()

@@ -212,24 +212,69 @@ def test_known_factor_reduction_matches_the_gcd():
 
 @pytest.mark.parametrize(
     "cid, pattern",
-    [(C3, (3,) * 15), (C3, (3, 4, 5) * 5), (C4, (-2, 3) * 8), (C4, (-1, 2) * 10), (C4, (3,) * 20)],
+    [
+        (C3, (3,) * 15), (C3, (3, 4, 5) * 5), (C4, (-2, 3) * 8), (C4, (-1, 2) * 10), (C4, (3,) * 20),
+        (C3, tuple(range(3, 40))), (C4, (-2, 7) * 30), (C4, (-5, 3, -1, 9) * 10),
+    ],
 )
 def test_repeated_factors_leave_the_normal_form(cid, pattern):
-    # a denominator factor repeated 15-20 times, beyond the exhaustive range
-    # above: renormalising by the gcd changes nothing exactly when the
-    # trusted pair is already reduced
+    # a denominator factor repeated 10-30 times, or 37 distinct D_j, beyond
+    # the exhaustive range above: the trusted pair is in normal form when
+    # den(0) = 1 and num and den are coprime.  Euclid over the rationals
+    # takes seconds to minutes at these degrees, so coprimality is decided
+    # mod a prime
     gfs = [avoid_gf(cid, pattern)]
     if cid is C4:
         gfs += [involve_gf_sum_word(pattern), involve_gf_product_form(pattern)]
     for gf in gfs:
-        assert RationalGF(gf.num, gf.den) == gf
         assert gf.den.coefficient(0) == 1
+        assert coprime_mod_prime(gf.num, gf.den)
+
+
+def coprime_mod_prime(f, g, p=2**61 - 1):
+    # Euclid over the integers mod p.  p divides neither leading coefficient,
+    # so a common factor over the rationals keeps its degree mod p, and a
+    # constant gcd mod p proves f and g coprime
+    assert f.coeffs[-1] % p and g.coeffs[-1] % p
+    a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
+    while b:
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inverse % p, len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] = (a[shift + k] - q * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_closed_form_premises():
+    # the premises (a)-(c) of the closed-form reduction (genfun's docstring),
+    # exactly for every index up to 300
+    half = Fraction(1, 2)
+    for n in range(301):
+        assert lis_count_poly(n).eval(half) == Fraction(2, 3) + Fraction(1, 3) / 4**n, n
+    for i in range(2, 301):
+        reduced = reduced_lis_poly(i - 1).scale(2) - reduced_lis_poly(i - 2)
+        assert reduced.coefficient(0) == 1 and min(reduced.coeffs) >= 0, i
+        assert reduced.shift(i) == lis_count_poly(i) - lis_count_poly(i - 1).shift(2), i
+    for j in range(3, 301):
+        assert layered_denominator(j).eval(half) > 0 > layered_denominator(j).eval(1), j
+
+
+@pytest.mark.parametrize("word", [(-2,), (3, -1), (-1, 2, -1)])
+def test_closed_form_checks_its_divisions(word):
+    # the naive run factor L_i/(1-t) is not 1 at t = 1/2, so 1-2t does not
+    # divide P - Q: avoidance with it raises instead of returning a pair
+    with pytest.raises(ArithmeticError):
+        genfun._pattern_gf(word, naive_run_factor, avoid=True)
 
 
 def test_exact_quotient_decides_divisibility():
     # against the gcd for every polynomial of degree <= 4 with coefficients
-    # -1, 0, 1, and for multiples of each factor, by every factor kind the
-    # reduction divides out: 1-2t, 1-t and D_3, D_4
+    # -1, 0, 1, and for multiples of each factor, by the two factors the
+    # reduction divides out, 1-2t and 1-t, and by D_3 and D_4
     factors = [Poly.of(1, -2), Poly.of(1, -1), layered_denominator(3), layered_denominator(4)]
     small = [Poly(c) for c in itertools.product((-1, 0, 1), repeat=5)]
     for f in factors:

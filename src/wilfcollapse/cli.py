@@ -13,9 +13,7 @@ first run and shared by every later run in the process.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from dataclasses import asdict, astuple, fields
@@ -183,11 +181,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _csv_text(header: list[str], rows: list[list | tuple]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    # every field is an int, a header name, lis/layered or a .15f float: none
+    # holds a comma, quote or line break, so none is quoted
+    return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
 
 
 _COLLAPSE_HEADER = [f.name for f in fields(CollapseRow)]

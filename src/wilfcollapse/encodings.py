@@ -494,8 +494,8 @@ def parse_element(class_id: ClassId, text: str) -> ClassElement:
             return (0, 0, 0)
         if not raw.startswith("t:"):
             raise ParseError("expected 't:a,b,c'", text, pos)
-        parts = raw[2:].split(",")
-        if len(parts) != 3 or not all(p.strip().isdecimal() for p in parts):
+        parts = [p.strip() for p in raw[2:].split(",")]
+        if len(parts) != 3 or not all(p.isascii() and p.isdecimal() for p in parts):
             raise ParseError("expected three non-negative integers", text, pos + 2)
         return _judged(class_id, tuple(int(p) for p in parts), text, [pos + 2])
     if class_id is ClassId.AV_312_213:
@@ -506,7 +506,8 @@ def parse_element(class_id: ClassId, text: str) -> ClassElement:
     if class_id is ClassId.AV_312_231:
         for chunk in raw.split("+"):
             start = pos + len(chunk) - len(chunk.lstrip())
-            if not chunk.strip().isdecimal():
+            digits = chunk.strip()
+            if not (digits.isascii() and digits.isdecimal()):
                 _judged(class_id, tuple(word), text, starts)
                 raise ParseError("expected a layer size", text, start)
             word.append(int(chunk))
@@ -515,7 +516,7 @@ def parse_element(class_id: ClassId, text: str) -> ClassElement:
     else:
         for token in re.finditer(r"\S+", text):
             kind, digits = token[0][0], token[0][1:]
-            if kind not in "ab" or not digits.isdecimal():
+            if kind not in "ab" or not (digits.isascii() and digits.isdecimal()):
                 _judged(class_id, tuple(word), text, starts)
                 raise ParseError("expected letters like a2 or b3", text, token.start())
             word.append(-int(digits) if kind == "a" else int(digits))

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 from .encodings import ClassId, Composition, SumWord, validate_element
 from .errors import PreconditionError
-from .series import ONE, Poly, RationalGF, T, _series
+from .series import ONE, Poly, RationalGF, T
 
 _ONE_MINUS_T = Poly.of(1, -1)
 _ONE_MINUS_2T = Poly.of(1, -2)
@@ -151,8 +151,10 @@ def _pattern_gf(letters: tuple[int, ...], run_factor, avoid: bool = False) -> Ra
     Involvement GF of a c3 or c4 pattern, or with avoid its avoidance GF,
     reduced in closed form (module docstring) with P and Q the products over
     the letters of the denominators and numerators of _prefix_gf(j) for a
-    layer or drop letter j and of run_factor(i) for a run letter a_i.  A
-    division the proof makes exact raises ArithmeticError if it is not.
+    layer or drop letter j and of run_factor(i) for a run letter a_i.  Both
+    quotients, (P-Q)/(1-2t) and P/(1-t), come from Poly.divmod; one that the
+    proof makes exact but that leaves a remainder or takes an inexact step
+    raises ArithmeticError naming the pattern.
     """
     if not letters:  # involved by every word, avoided by none
         return RationalGF.of(0) if avoid else class_gf(ClassId.AV_312_321)
@@ -160,28 +162,17 @@ def _pattern_gf(letters: tuple[int, ...], run_factor, avoid: bool = False) -> Ra
     for letter in letters:
         factor = _prefix_gf(letter) if letter > 0 else run_factor(-letter)
         num, den = num * factor.num, den * factor.den
-    if avoid:
-        num = _exact_quotient(den - num, _ONE_MINUS_2T)
-    den = _exact_quotient(den, _ONE_MINUS_T)
-    if num is None or den is None:
-        raise ArithmeticError(f"the closed form does not reduce the GF of {letters}")
+    try:
+        if avoid:
+            num, rest = (den - num).divmod(_ONE_MINUS_2T)
+            if not rest.is_zero():
+                raise ArithmeticError(f"{_ONE_MINUS_2T} leaves {rest}")
+        den, rest = den.divmod(_ONE_MINUS_T)
+        if not rest.is_zero():
+            raise ArithmeticError(f"{_ONE_MINUS_T} leaves {rest}")
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"the closed form does not reduce the GF of {letters}") from exc
     return RationalGF._reduced(num, den if avoid else _ONE_MINUS_2T * den)
-
-
-def _exact_quotient(poly: Poly, factor: Poly) -> Poly | None:
-    """
-    poly / factor when factor divides poly, else None; factor has constant
-    term 1.  The series quotient (series._series) then runs in integers, and
-    factor divides poly exactly when that quotient vanishes at the
-    deg(factor) indices above deg(poly) - deg(factor): the quotient
-    truncated there times factor differs from poly by a polynomial of degree
-    at most deg(poly) with no term below deg(poly) + 1.
-    """
-    quotient = _series(poly.coeffs, factor.coeffs, poly.degree)
-    cut = max(len(quotient) - factor.degree, 0)
-    if any(quotient[cut:]):
-        return None
-    return Poly(tuple(quotient[:cut]))
 
 
 @lru_cache(maxsize=None)

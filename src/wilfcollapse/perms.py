@@ -39,7 +39,7 @@ def parse_perm(text: str) -> Perm:
     pos = len(text) - len(text.lstrip())  # where stripped starts in text
     for chunk in stripped.split(","):
         piece = chunk.strip()
-        if not piece.isdecimal():
+        if not (piece.isascii() and piece.isdecimal()):
             start = pos + len(chunk) - len(chunk.lstrip())
             raise ParseError("expected a positive integer", text, start)
         values.append(int(piece))

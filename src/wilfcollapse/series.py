@@ -14,9 +14,9 @@ and sets the fields as given; only genfun calls it, on pairs that its
 closed form proves reduced.
 
 Every series quotient comes from one recurrence, _series: the expansion in
-ints or Fractions, the expansion in exact Decimals that the CLI prints
+ints or Fractions, and the expansion in exact Decimals that the CLI prints
 (converting a Decimal integer to text takes linear time, a big int
-quadratic time), and genfun's exact polynomial division.
+quadratic time).  Every exact polynomial division is Poly.divmod.
 """
 from __future__ import annotations
 
@@ -92,22 +92,29 @@ class Poly:
         return Poly((0,) * power + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Long division; raises ArithmeticError on a step that is not exact in integers."""
+        """
+        Long division; raises ArithmeticError on a step that is not exact in
+        integers.  Each step cancels rem[k] by the leading term, so it
+        subtracts only the divisor's nonzero terms below it, and leaves
+        every entry at or above the divisor's degree d zero: the remainder
+        is rem[:d].
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.coeffs[-1]
+        taps = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b]
+        quot = [0] * max(len(rem) - d, 0)
         for k in range(len(rem) - 1, d - 1, -1):
             factor, inexact = divmod(rem[k], lead)
             if inexact:
                 raise ArithmeticError(f"{lead} does not divide {rem[k]}")
             if factor:
                 quot[k - d] = factor
-                for j, b in enumerate(other.coeffs):
+                for j, b in taps:
                     rem[k - d + j] -= factor * b
-        return Poly(tuple(quot)), Poly(tuple(rem))
+        return Poly(tuple(quot)), Poly(tuple(rem[:d]))
 
     def eval(self, x):
         """Horner evaluation: exact at an int or rational x, a float at a float x."""

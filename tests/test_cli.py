@@ -107,6 +107,14 @@ def test_canon_rejects_malformed_element(capsys):
     assert "error" in err
 
 
+def test_canon_rejects_digits_outside_ascii(capsys):
+    # int reads the Arabic-Indic two and the fullwidth three; the formats do not
+    code = run(["canon", "--class", "c4", "--element", "a\u0662 b\uff13"])
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    assert "expected letters like a2 or b3 at position 0" in err
+
+
 def test_roots_table(capsys):
     code = run(["roots", "--family", "q", "--max-n", "3"])
     out, _ = capture(capsys)

@@ -290,6 +290,10 @@ def test_parse_errors_are_position_tagged():
         (ClassId.AV_312_231, "3+²", 2),
         (ClassId.AV_312_321, "b²", 0),
         (ClassId.AV_312_123, "t:²,1,1", 2),
+        # decimal digits outside ASCII are malformed letters as well
+        (ClassId.AV_312_231, "3+\u0662", 2),
+        (ClassId.AV_312_321, "a1 b\uff13", 3),
+        (ClassId.AV_312_123, "t:1,\u0662,1", 2),
     ]
     for cid, text, pos in cases:
         with pytest.raises(ParseError) as exc:

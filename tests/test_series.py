@@ -37,6 +37,21 @@ def test_poly_divmod_and_gcd():
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 
 
+@given(st.lists(st.integers(-9, 9), max_size=8), nonzero_polys, st.sampled_from((1, -1)))
+def test_poly_divmod_identity(coeffs, b, unit):
+    # any nonzero divisor: an inexact step raises, or q*b + r == a with
+    # deg r < deg b; a unit leading coefficient never raises
+    a = Poly.of(*coeffs)
+    try:
+        q, r = a.divmod(b)
+    except ArithmeticError:
+        q = r = None
+    assert r is None or (q * b + r == a and r.degree < b.degree)
+    monic = Poly(b.coeffs[:-1] + (unit,))
+    q, r = a.divmod(monic)
+    assert q * monic + r == a and r.degree < monic.degree
+
+
 @given(small_polys, nonzero_polys, nonzero_polys)
 def test_poly_gcd_is_primitive_and_exact(a, b, c):
     g = poly_gcd(a * c, b * c)

@@ -66,10 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, with_format, classes=("c1", "c2", "c3", "c4"), with_n=False,
+    def add_common(p, handler, *, with_format, classes=("c1", "c2", "c3", "c4"), with_n=False,
                    with_depth=False):
         # checks after parsing report their usage errors through this parser
-        p.set_defaults(parser=p)
+        p.set_defaults(parser=p, handler=handler)
         p.add_argument("--config", help="flat key=value file of option defaults")
         if with_format:
             p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -82,33 +82,33 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=_at_least(0), default=16)
 
     p = sub.add_parser("enumerate", help="list all class members of one size")
-    add_common(p, with_format=True, with_n=True)
+    add_common(p, _cmd_enumerate, with_format=True, with_n=True)
 
     p = sub.add_parser("classify",
                        help="group size-n patterns by their avoider counting sequences")
-    add_common(p, with_format=True, with_n=True, with_depth=True)
+    add_common(p, _cmd_classify, with_format=True, with_n=True, with_depth=True)
 
     p = sub.add_parser("canon", help="canonical form of a layered or sum-word pattern")
-    add_common(p, with_format=False, classes=("c3", "c4"))
+    add_common(p, _cmd_canon, with_format=False, classes=("c3", "c4"))
     p.add_argument("--element", required=True)
 
     p = sub.add_parser("gf", help="avoidance generating function of a pattern")
-    add_common(p, with_format=False, classes=("c3", "c4"))
+    add_common(p, _cmd_gf, with_format=False, classes=("c3", "c4"))
     p.add_argument("--pattern", required=True)
     p.add_argument("--expand", type=_at_least(0), default=None, metavar="N",
                    help="also print series coefficients up to order N")
 
     p = sub.add_parser("roots", help="table of separating real roots")
-    add_common(p, with_format=True, classes=())
+    add_common(p, _cmd_roots, with_format=True, classes=())
     p.add_argument("--family", choices=["q", "layered"], required=True)
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
     p = sub.add_parser("verify",
                        help="check the canonical grouping against avoider counts")
-    add_common(p, with_format=False, with_n=True, with_depth=True)
+    add_common(p, _cmd_verify, with_format=False, with_n=True, with_depth=True)
 
     p = sub.add_parser("report", help="collapse table n, c_n, w_n, canonical count")
-    add_common(p, with_format=True, with_depth=True)
+    add_common(p, _cmd_report, with_format=True, with_depth=True)
     p.add_argument("--max-n", type=_at_least(1), required=True)
 
     return parser
@@ -316,17 +316,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "classify": _cmd_classify,
-    "canon": _cmd_canon,
-    "gf": _cmd_gf,
-    "roots": _cmd_roots,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-}
-
-
 def run(argv: list[str]) -> int:
     try:
         argv = _apply_config(argv)
@@ -341,16 +330,13 @@ def run(argv: list[str]) -> int:
     if "class_id" in args:
         args.class_id = ClassId(args.class_id)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
+from string import whitespace
 from typing import Optional, Union
 
 from .errors import BasisViolationError, ParseError
@@ -487,14 +488,14 @@ def member_texts(class_id: ClassId, n: int, kind: str) -> list[str]:
 
 def parse_element(class_id: ClassId, text: str) -> ClassElement:
     """Read an element from its text form (see ``format_element``); _judged rules on it."""
-    raw = text.strip()
-    pos = len(text) - len(text.lstrip())  # where raw starts in text
+    raw = text.strip(whitespace)  # ASCII only, as are the formats
+    pos = len(text) - len(text.lstrip(whitespace))  # where raw starts in text
     if class_id is ClassId.AV_312_123:
         if raw == "e":
             return (0, 0, 0)
         if not raw.startswith("t:"):
             raise ParseError("expected 't:a,b,c'", text, pos)
-        parts = [p.strip() for p in raw[2:].split(",")]
+        parts = [p.strip(whitespace) for p in raw[2:].split(",")]
         if len(parts) != 3 or not all(p.isascii() and p.isdecimal() for p in parts):
             raise ParseError("expected three non-negative integers", text, pos + 2)
         return _judged(class_id, tuple(int(p) for p in parts), text, [pos + 2])
@@ -505,8 +506,8 @@ def parse_element(class_id: ClassId, text: str) -> ClassElement:
     word, starts = [], []  # before a malformed letter, _judged rules on the letters read
     if class_id is ClassId.AV_312_231:
         for chunk in raw.split("+"):
-            start = pos + len(chunk) - len(chunk.lstrip())
-            digits = chunk.strip()
+            start = pos + len(chunk) - len(chunk.lstrip(whitespace))
+            digits = chunk.strip(whitespace)
             if not (digits.isascii() and digits.isdecimal()):
                 _judged(class_id, tuple(word), text, starts)
                 raise ParseError("expected a layer size", text, start)
@@ -514,7 +515,7 @@ def parse_element(class_id: ClassId, text: str) -> ClassElement:
             starts.append(start)
             pos += len(chunk) + 1
     else:
-        for token in re.finditer(r"\S+", text):
+        for token in re.finditer(r"\S+", text, re.ASCII):
             kind, digits = token[0][0], token[0][1:]
             if kind not in "ab" or not (digits.isascii() and digits.isdecimal()):
                 _judged(class_id, tuple(word), text, starts)

@@ -80,7 +80,6 @@ def _prefix_gf(j: int) -> RationalGF:
     return RationalGF(Poly.monomial(j), Poly.of(1, -2) + Poly.monomial(j))
 
 
-@lru_cache(maxsize=None)
 def avoid_gf_layered(pattern: Composition) -> RationalGF:
     """
     Generating function of the layered permutations avoiding a composition
@@ -93,7 +92,6 @@ def avoid_gf_layered(pattern: Composition) -> RationalGF:
 # ---------------------------------------------------------------------------
 # Polynomials counting sum words by longest increasing run
 
-@lru_cache(maxsize=None)
 def reduced_lis_poly(n: int) -> Poly:
     """
     lis_count_poly(n) divided by t**n: the Morgan-Voyce polynomial
@@ -175,7 +173,6 @@ def _pattern_gf(letters: tuple[int, ...], run_factor, avoid: bool = False) -> Ra
     return RationalGF._reduced(num, den if avoid else _ONE_MINUS_2T * den)
 
 
-@lru_cache(maxsize=None)
 def involve_gf_sum_word(word: SumWord) -> RationalGF:
     """
     Generating function of the class members involving the given sum word.
@@ -185,7 +182,6 @@ def involve_gf_sum_word(word: SumWord) -> RationalGF:
     return _pattern_gf(word, _run_prefix_gf)
 
 
-@lru_cache(maxsize=None)
 def avoid_gf_sum_word(word: SumWord) -> RationalGF:
     """Generating function of the class members avoiding the given sum word."""
     validate_element(ClassId.AV_312_321, word)

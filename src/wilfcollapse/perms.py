@@ -12,6 +12,7 @@ that trivially-equivalent classes can be recognised in constant time.
 """
 from __future__ import annotations
 
+from string import whitespace
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
@@ -32,15 +33,15 @@ def is_permutation(values: Sequence[int]) -> bool:
 
 def parse_perm(text: str) -> Perm:
     """Parse comma-separated one-line notation, e.g. ``"2,1,4,6,3,5"``."""
-    stripped = text.strip()
+    stripped = text.strip(whitespace)  # ASCII only, as is the format
     if stripped in ("", "e"):
         return ()
     values = []
-    pos = len(text) - len(text.lstrip())  # where stripped starts in text
+    pos = len(text) - len(text.lstrip(whitespace))  # where stripped starts in text
     for chunk in stripped.split(","):
-        piece = chunk.strip()
+        piece = chunk.strip(whitespace)
         if not (piece.isascii() and piece.isdecimal()):
-            start = pos + len(chunk) - len(chunk.lstrip())
+            start = pos + len(chunk) - len(chunk.lstrip(whitespace))
             raise ParseError("expected a positive integer", text, start)
         values.append(int(piece))
         pos += len(chunk) + 1

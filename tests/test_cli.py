@@ -115,6 +115,14 @@ def test_canon_rejects_digits_outside_ascii(capsys):
     assert "expected letters like a2 or b3 at position 0" in err
 
 
+def test_canon_rejects_spaces_outside_ascii(capsys):
+    # an ideographic space separates nothing: the format's spaces are ASCII
+    code = run(["canon", "--class", "c4", "--element", "a1\u3000b3"])
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    assert "expected letters like a2 or b3 at position 0" in err
+
+
 def test_roots_table(capsys):
     code = run(["roots", "--family", "q", "--max-n", "3"])
     out, _ = capture(capsys)

@@ -294,6 +294,10 @@ def test_parse_errors_are_position_tagged():
         (ClassId.AV_312_231, "3+\u0662", 2),
         (ClassId.AV_312_321, "a1 b\uff13", 3),
         (ClassId.AV_312_123, "t:1,\u0662,1", 2),
+        # so are spaces outside ASCII: the formats are ASCII
+        (ClassId.AV_312_231, "3+\u00a02", 2),
+        (ClassId.AV_312_321, "a1\u3000b2", 0),
+        (ClassId.AV_312_123, "t:1,\u00a00,1", 2),
     ]
     for cid, text, pos in cases:
         with pytest.raises(ParseError) as exc:

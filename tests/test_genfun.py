@@ -1,8 +1,10 @@
+import gc
 import inspect
 import itertools
 import math
 import sys
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -263,6 +265,42 @@ def test_closed_form_premises():
         assert layered_denominator(j).eval(half) > 0 > layered_denominator(j).eval(1), j
 
 
+def test_factored_form_from_the_letters():
+    # the reduced fields as products over the letters (genfun's docstring),
+    # built from D_j and b_n alone: for every c3 composition of size <= 12
+    # and every c4 sum word of size <= 10
+    one_minus_t, one_minus_2t = layered_denominator(2), Poly.of(1, -2)
+
+    def run_numerator(i):  # M_i = 2 b_(i-1) - b_(i-2), with M_1 = 1
+        return ONE if i == 1 else reduced_lis_poly(i - 1).scale(2) - reduced_lis_poly(i - 2)
+
+    for n in range(1, 13):
+        for p in generate(C3, n):
+            factors = [one_minus_t] * (len(p) - 1) + [layered_denominator(j) for j in p]
+            assert avoid_gf_layered(p).den == math.prod(factors, start=ONE), p
+    for n in range(1, 11):
+        for w in generate(C4, n):
+            runs = [run_numerator(-i) for i in w if i < 0]
+            drops = [layered_denominator(j) for j in w if j > 0]
+            num = math.prod(runs, start=Poly.monomial(n))
+            den = math.prod([one_minus_t] * (len(w) - 1) + drops, start=one_minus_2t)
+            gf = involve_gf_sum_word(w)
+            assert (gf.num, gf.den) == (num, den), w
+
+
+def test_built_gfs_are_not_kept_alive():
+    # a pass over many patterns holds only the GFs its caller keeps
+    builds = [
+        (avoid_gf_layered, (5, 3, 1)),
+        (avoid_gf_sum_word, (-2, 3)),
+        (involve_gf_sum_word, (-2, 3)),
+    ]
+    for build, pattern in builds:
+        ref = weakref.ref(build(pattern))
+        gc.collect()
+        assert ref() is None, (build.__name__, pattern)
+
+
 @pytest.mark.parametrize("word", [(-2,), (3, -1), (-1, 2, -1)])
 def test_closed_form_checks_its_divisions(word):
     # the naive run factor L_i/(1-t) is not 1 at t = 1/2, so 1-2t does not
@@ -412,7 +450,6 @@ def test_lis_poly_counts_by_longest_run(n):
 def test_lis_poly_cold_cache_large_index():
     # the closed form has no recursion depth: a cold index 1000 works
     lis_count_poly.cache_clear()
-    reduced_lis_poly.cache_clear()
     lis_root.cache_clear()
     poly = lis_count_poly(1000)
     assert poly.degree == 2000 and poly.coefficient(1000) == 1

@@ -49,11 +49,13 @@ def test_is_permutation_and_parse():
     assert not is_permutation((0, 1))
 
 
-@pytest.mark.parametrize("text, pos", [("²", 0), ("  1,x", 4), ("1, x", 3), ("1,\u0662", 2)])
+@pytest.mark.parametrize(
+    "text, pos", [("²", 0), ("  1,x", 4), ("1, x", 3), ("1,\u0662", 2), ("2,\u00a01", 2)]
+)
 def test_parse_perm_reports_position_in_text_as_given(text, pos):
-    # a digit that int cannot read, or a decimal digit outside ASCII, is a
-    # parse error too, and the position counts the whitespace the text was
-    # given with
+    # a digit that int cannot read, a decimal digit outside ASCII or a space
+    # outside ASCII is a parse error too, and the position counts the
+    # whitespace the text was given with
     with pytest.raises(ParseError) as caught:
         parse_perm(text)
     assert caught.value.pos == pos

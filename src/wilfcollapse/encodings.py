@@ -275,6 +275,14 @@ def _sum_word_from_perm(p: Perm) -> SumWord:
     return tuple(letters)
 
 
+_ENCODE = {
+    ClassId.AV_312_123: _triple_from_perm,
+    ClassId.AV_312_213: _wedge_from_perm,
+    ClassId.AV_312_231: _composition_from_perm,
+    ClassId.AV_312_321: _sum_word_from_perm,
+}
+
+
 def from_permutation(class_id: ClassId, p: Perm) -> ClassElement:
     """
     Encode a permutation in the class-native form; inverse of to_permutation.
@@ -283,14 +291,7 @@ def from_permutation(class_id: ClassId, p: Perm) -> ClassElement:
     lies outside the class.
     """
     _check_basis(class_id, p)
-    if class_id is ClassId.AV_312_123:
-        e: ClassElement = _triple_from_perm(p)
-    elif class_id is ClassId.AV_312_213:
-        e = _wedge_from_perm(p)
-    elif class_id is ClassId.AV_312_231:
-        e = _composition_from_perm(p)
-    else:
-        e = _sum_word_from_perm(p)
+    e = _ENCODE[class_id](p)
     assert to_permutation(class_id, e) == p
     return e
 

@@ -3,38 +3,41 @@ Exact generating functions for the four classes and their principal
 subclasses, the polynomials counting sum words by longest increasing
 subsequence, and the real roots used to separate equivalence classes.
 
-Involvement is a sequence construction: a word involving a c3 or c4
-pattern is its shortest prefix involving the first letter, then a word
-involving the rest.  So the involvement GF is one product, reduced once
-(_pattern_gf): the class GF 1 + t/(1-2t) = (1-t)/(1-2t), which c3 and c4
-share, times one factor per pattern letter.  A c3 layer a and a c4 drop
-letter b_a share the factor t^a/(1-2t+t^a).  A c4 run letter has its own
-(_run_prefix_gf), which for a1 is layer 1's, so the classes share GFs:
+Involvement is a sequence construction (Flajolet and Sedgewick, Analytic
+Combinatorics, I.2): a word involving a c3 or c4 pattern is its shortest
+prefix involving the first letter, then a word involving the rest.  So the
+involvement GF is the class GF (1-t)/(1-2t), which c3 and c4 share, times
+one factor per letter.  A c3 layer j and a c4 drop letter b_j share
+t^j/((1-t) D_j), D_j = 1 - t - ... - t^(j-1): a prefix is letters below j,
+then one of size at least j, and a word has no such prefix or starts with
+one, so the class GF times 1 minus the factor is 1/D_j.  A c4 run letter
+a_i has t^i M_i/(1-t), M_1 = 1 and M_i = 2 b_(i-1) - b_(i-2) for the b_n
+below (_run_numerator); a1 has layer 1's, so the classes share GFs:
 
 >>> avoid_gf_layered((3, 2)) == avoid_gf_sum_word((3, 2))
 True
 >>> avoid_gf_layered((2, 1)) == avoid_gf_sum_word((2, -1))
 True
 
-The product is reduced in closed form, with no gcd.  Write P and Q for the
-products of the letter factors' denominators and numerators, and D_j for
-1 - t - ... - t^(j-1).  A layer or drop letter j has t^j/((1-t) D_j), a run
-letter N_i/(1-t) with N_1 = t and, by the recursion below, N_i = L_i -
-t^2 L_(i-1) = t^i (2 b_(i-1) - b_(i-2)).
-(a) Q > 0 for t > 0: 2 b_(i-1) - b_(i-2) has nonnegative coefficients, as
-    C(n+k, 2k) grows with n.  Each D_j, j >= 3, is irreducible over the
-    rationals (M. A. Wolfram, "Solving generalized Fibonacci recurrences",
-    Fibonacci Quart. 36, 1998) and has a zero in (1/2, 1), as D_j(1/2) =
-    2^(1-j) > 0 > 2 - j = D_j(1).  So D_j and 1-t divide neither Q nor P - Q.
-(b) P(1/2) > 0, so (1-2t) P has the factor 1-2t exactly once.
-(c) Every exact factor is 1 at t = 1/2 (2^-j/2^-j for a layer; 2 N_i(1/2)
-    = 1, as L_n(1/2) = 2/3 + 4^-n/3), so 1-2t divides P - Q.
-So involvement, (1-t) Q / ((1-2t) P), is Q over (1-2t) P/(1-t), avoidance
-is (P-Q)/(1-2t) over P/(1-t), both reduced with den(0) = 1, and the naive
-product form needs only (a) and (b).  series.poly_gcd stays the oracle.
+So a pattern of size n with k letters has (_pattern_gf) the involvement GF
+num/((1-2t) den), num = t^n prod_runs M_i and den = (1-t)^(k-1)
+prod_layers/drops D_j, and the avoidance GF, the class GF minus it,
+((1-t) den - num)/(1-2t) over den.  Every factor has constant term 1, so
+den(0) = 1, and both are reduced as written, with no gcd:
+(a) num is coprime to 1-t, 1-2t and each D_j, hence to den, so den is to
+    (1-t) den - num.  Its factors but t^n are positive for t > 0, as M_i
+    has nonnegative coefficients (C(n+k, 2k) grows with n); 1-t and 1-2t
+    have the zeros 1 and 1/2, D_2 = 1-t, and each D_j, j >= 3, is
+    irreducible over the rationals (M. A. Wolfram, Fibonacci Quart. 36,
+    1998) with a zero in (1/2, 1), as D_j(1/2) = 2^(1-j) > 0 > 2-j = D_j(1).
+(b) 1-2t divides (1-t) den - num: at t = 1/2 a layer or drop letter j gives
+    both terms the factor 2^-j, and a run letter a_i gives both 1/2, as
+    M_i(1/2) = 2^(i-1) by L_n(1/2) = 2/3 + 4^-n/3.
+Criterion 6's naive product form has b_i for M_i and needs only (a), as
+b_i > 0 for t > 0.  series.poly_gcd stays the oracle.
 
-The sum words with longest increasing subsequence exactly n are counted by
-L_n = t^n b_n(t), where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
+L_n = t^n b_n(t) counts the sum words with longest increasing subsequence
+exactly n, where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
 polynomial; b_n = (2+t) b_(n-1) - b_(n-2) is the three-term recursion of
 the run counts divided by t^n, and b_n is (-1)^n U_2n under x^2 = -t/4, the
 Chebyshev identity checked below.
@@ -47,20 +50,17 @@ from functools import lru_cache
 
 from .encodings import ClassId, Composition, SumWord, validate_element
 from .errors import PreconditionError
-from .series import ONE, Poly, RationalGF, T
+from .series import ONE, Poly, RationalGF
 
 _ONE_MINUS_T = Poly.of(1, -1)
 _ONE_MINUS_2T = Poly.of(1, -2)
 
 
-@lru_cache(maxsize=None)
 def class_gf(class_id: ClassId) -> RationalGF:
-    """Generating function of the whole class."""
+    """Generating function of the whole class: c1's is 1/(1-t) + t^2/(1-t)^3."""
     if class_id is ClassId.AV_312_123:
-        one_minus_t = _ONE_MINUS_T
-        cubic = one_minus_t * one_minus_t * one_minus_t
-        return RationalGF(ONE, one_minus_t) + RationalGF(Poly.of(0, 0, 1), cubic)
-    return RationalGF.of(1) + RationalGF(T, Poly.of(1, -2))
+        return RationalGF._reduced(Poly.of(1, -2, 2), Poly.of(1, -3, 3, -1))
+    return RationalGF._reduced(_ONE_MINUS_T, _ONE_MINUS_2T)
 
 
 def layered_denominator(a: int) -> Poly:
@@ -68,16 +68,8 @@ def layered_denominator(a: int) -> Poly:
     return Poly.of(1, *([-1] * (a - 1)))
 
 
-@lru_cache(maxsize=None)
-def _prefix_gf(j: int) -> RationalGF:
-    """
-    GF of the words that are their own shortest prefix involving a c3 layer
-    j or a c4 drop letter b_j: smaller letters, then one of size at least j.
-    t^j/((1-t)(1 - t - ... - t^(j-1))) = t^j/(1-2t+t^j).  A word uses letters
-    below j throughout or starts with such a prefix, so
-    class_gf * (1 - _prefix_gf(j)) = 1/(1 - t - ... - t^(j-1)).
-    """
-    return RationalGF(Poly.monomial(j), Poly.of(1, -2) + Poly.monomial(j))
+# D_j per letter; roots --family layered calls layered_denominator uncached
+_letter_denominator = lru_cache(maxsize=None)(layered_denominator)
 
 
 def avoid_gf_layered(pattern: Composition) -> RationalGF:
@@ -86,7 +78,7 @@ def avoid_gf_layered(pattern: Composition) -> RationalGF:
     pattern.  The empty pattern is avoided by nothing, so its value is 0.
     """
     validate_element(ClassId.AV_312_231, pattern)
-    return _pattern_gf(pattern, _run_prefix_gf, avoid=True)
+    return _pattern_gf(pattern, _run_numerator, avoid=True)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +97,6 @@ def reduced_lis_poly(n: int) -> Poly:
     return Poly(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
 def lis_count_poly(n: int) -> Poly:
     """
     Generating polynomial of the class members whose longest increasing
@@ -118,10 +109,10 @@ def lis_count_poly(n: int) -> Poly:
 # Sum-word involvement generating functions
 
 @lru_cache(maxsize=None)
-def _run_prefix_gf(i: int) -> RationalGF:
+def _run_numerator(i: int) -> Poly:
     """
-    The factor of any run letter a_i, a final one included:
-    (L_i - t^2 L_(i-1))/(1-t), with L = lis_count_poly.
+    M_i: any run letter a_i, a final one included, has the factor
+    t^i M_i/(1-t) = (L_i - t^2 L_(i-1))/(1-t), with L = lis_count_poly.
 
     The longest increasing subsequence of a sum word is the sum of its
     letter capacities (k for a run letter of size k, j-1 for a drop letter
@@ -141,36 +132,35 @@ def _run_prefix_gf(i: int) -> RationalGF:
     is this factor times class_gf.  L_n = t(2+t) L_(n-1) - t^2 L_(n-2) makes
     that tail a fixed combination of L_i and L_(i-1), fitted at i = 1 and 2.
     """
-    return RationalGF(lis_count_poly(i) - lis_count_poly(i - 1).shift(2), _ONE_MINUS_T)
+    if i == 1:
+        return ONE
+    return reduced_lis_poly(i - 1).scale(2) - reduced_lis_poly(i - 2)
 
 
-def _pattern_gf(letters: tuple[int, ...], run_factor, avoid: bool = False) -> RationalGF:
+def _pattern_gf(letters: tuple[int, ...], run_numerator, avoid: bool = False) -> RationalGF:
     """
-    Involvement GF of a c3 or c4 pattern, or with avoid its avoidance GF,
-    reduced in closed form (module docstring) with P and Q the products over
-    the letters of the denominators and numerators of _prefix_gf(j) for a
-    layer or drop letter j and of run_factor(i) for a run letter a_i.  Both
-    quotients, (P-Q)/(1-2t) and P/(1-t), come from Poly.divmod; one that the
-    proof makes exact but that leaves a remainder or takes an inexact step
-    raises ArithmeticError naming the pattern.
+    Involvement GF of a c3 or c4 pattern, or with avoid its avoidance GF, in
+    the module docstring's factored form, with run_numerator(i) for M_i.  A
+    remainder of avoidance's one division, by 1-2t, raises ArithmeticError.
     """
     if not letters:  # involved by every word, avoided by none
         return RationalGF.of(0) if avoid else class_gf(ClassId.AV_312_321)
-    num, den = ONE, ONE
+    num = Poly.monomial(sum(map(abs, letters)))
+    den = math.prod([_ONE_MINUS_T] * (len(letters) - 1), start=ONE)
     for letter in letters:
-        factor = _prefix_gf(letter) if letter > 0 else run_factor(-letter)
-        num, den = num * factor.num, den * factor.den
+        if letter > 0:
+            den = den * _letter_denominator(letter)
+        else:
+            num = num * run_numerator(-letter)
+    if not avoid:
+        return RationalGF._reduced(num, _ONE_MINUS_2T * den)
     try:
-        if avoid:
-            num, rest = (den - num).divmod(_ONE_MINUS_2T)
-            if not rest.is_zero():
-                raise ArithmeticError(f"{_ONE_MINUS_2T} leaves {rest}")
-        den, rest = den.divmod(_ONE_MINUS_T)
+        num, rest = (_ONE_MINUS_T * den - num).divmod(_ONE_MINUS_2T)
         if not rest.is_zero():
-            raise ArithmeticError(f"{_ONE_MINUS_T} leaves {rest}")
+            raise ArithmeticError(f"{_ONE_MINUS_2T} leaves {rest}")
     except ArithmeticError as exc:
         raise ArithmeticError(f"the closed form does not reduce the GF of {letters}") from exc
-    return RationalGF._reduced(num, den if avoid else _ONE_MINUS_2T * den)
+    return RationalGF._reduced(num, den)
 
 
 def involve_gf_sum_word(word: SumWord) -> RationalGF:
@@ -179,13 +169,13 @@ def involve_gf_sum_word(word: SumWord) -> RationalGF:
     Exact: expansions match brute-force counts.
     """
     validate_element(ClassId.AV_312_321, word)
-    return _pattern_gf(word, _run_prefix_gf)
+    return _pattern_gf(word, _run_numerator)
 
 
 def avoid_gf_sum_word(word: SumWord) -> RationalGF:
     """Generating function of the class members avoiding the given sum word."""
     validate_element(ClassId.AV_312_321, word)
-    return _pattern_gf(word, _run_prefix_gf, avoid=True)
+    return _pattern_gf(word, _run_numerator, avoid=True)
 
 
 def avoid_gf(class_id: ClassId, pattern) -> RationalGF:
@@ -199,15 +189,13 @@ def avoid_gf(class_id: ClassId, pattern) -> RationalGF:
 
 def involve_gf_product_form(word: SumWord) -> RationalGF:
     """
-    The naive product form of the involvement GF: the exact product
-    (_pattern_gf) with the run factor L_i/(1-t) in place of
-    (L_i - t^2 L_(i-1))/(1-t), reduced once.  It vanishes at the
-    reduced-polynomial roots of its run letters, but it is NOT exact: its
-    expansion differs from the brute-force-checked counts already for the
-    single letter a2.  Diagnostic use only.
+    The naive product form of the involvement GF: _pattern_gf with the run
+    factor L_i/(1-t).  It vanishes at the reduced-polynomial roots of its
+    run letters, but it is NOT exact: its expansion differs from the counts
+    already for the single letter a2.  Diagnostic use only.
     """
     validate_element(ClassId.AV_312_321, word)
-    return _pattern_gf(word, lambda i: RationalGF(lis_count_poly(i), _ONE_MINUS_T))
+    return _pattern_gf(word, reduced_lis_poly)
 
 
 def special_pair_gfs(k: int) -> tuple[RationalGF, RationalGF]:

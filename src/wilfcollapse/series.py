@@ -8,10 +8,10 @@ is stored reduced: divided by the primitive gcd of numerator and denominator
 den(0) > 0.  This form is unique, has a series expansion, makes pole tests
 meaningful, and has den(0) == 1 whenever the series has integer coefficients.
 
-RationalGF(num, den) always reduces by the gcd.  The private constructor
-RationalGF._reduced(num, den) trusts that the pair is already in this form
-and sets the fields as given; only genfun calls it, on pairs that its
-closed form proves reduced.
+RationalGF(num, den) reduces by the gcd, unless Euclid mod a prime
+(_coprime_mod_prime) proves the pair coprime.  RationalGF._reduced(num, den)
+stores a pair as given; only genfun calls it, on pairs that its closed form
+proves reduced.
 
 Every series quotient comes from one recurrence, _series: the expansion in
 ints or Fractions, and the expansion in exact Decimals that the CLI prints
@@ -131,23 +131,13 @@ class Poly:
         return Poly(tuple(c // content for c in self.coeffs))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         pieces = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                pieces.append(str(c))
-            else:
+            if c:
                 var = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    pieces.append(var)
-                elif c == -1:
-                    pieces.append(f"-{var}")
-                else:
-                    pieces.append(f"{c}*{var}")
-        return " + ".join(pieces).replace("+ -", "- ")
+                term = var if c == 1 else f"-{var}" if c == -1 else f"{c}*{var}"
+                pieces.append(term if k else str(c))
+        return " + ".join(pieces).replace("+ -", "- ") or "0"
 
 
 ONE = Poly.of(1)
@@ -201,13 +191,31 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.primitive()
 
 
+def _coprime_mod_prime(f: Poly, g: Poly, p: int = 2**61 - 1) -> bool:
+    """
+    Whether Euclid mod the prime p proves f and g coprime: when p divides
+    neither leading coefficient, a common factor keeps its degree mod p.
+    """
+    a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
+    if not (a and b and a[-1] and b[-1]):
+        return False
+    while b:
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a.pop() * inverse % p, len(a) - len(b) + 1
+            a[shift:] = [(x - q * c) % p for x, c in zip(a[shift:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 @dataclass(frozen=True)
 class RationalGF:
     """
     Quotient of two integer polynomials with nonzero denominator constant
     term, stored in the module docstring's reduced form: equal functions have
-    equal fields.  _reduced builds one from a pair already in that form,
-    without the gcd; its caller vouches for the form (genfun only).
+    equal fields.
 
     >>> print(RationalGF(Poly.of(0, 2), Poly.of(2, -2)))
     num = t; den = 1 - t
@@ -221,7 +229,7 @@ class RationalGF:
         if den.is_zero() or den.coefficient(0) == 0:
             raise ZeroDivisionError("denominator must have nonzero constant term")
         # a primitive factor divides out without changing the content (Gauss)
-        g = poly_gcd(num, den)
+        g = ONE if _coprime_mod_prime(num, den) else poly_gcd(num, den)
         sign = 1 if den.coeffs[0] * g.coeffs[0] > 0 else -1
         g = g.scale(sign * math.gcd(*num.coeffs, *den.coeffs))
         object.__setattr__(self, "num", num.divmod(g)[0])

@@ -38,7 +38,7 @@ from wilfcollapse.genfun import (
     reduced_lis_poly,
     special_pair_gfs,
 )
-from wilfcollapse.series import ONE, Poly, RationalGF, poly_gcd
+from wilfcollapse.series import ONE, Poly, RationalGF, _coprime_mod_prime, poly_gcd
 
 C3 = ClassId.AV_312_231
 C4 = ClassId.AV_312_321
@@ -52,9 +52,35 @@ def brute_avoider_counts(cid, pattern, depth):
     )
 
 
+# The letter factors of the involvement product, written from their formulas
+# as the tests' oracles: a c3 layer or c4 drop letter j, a c4 run letter a_i,
+# and a run letter of the naive product form
+def prefix_factor(j):
+    return RationalGF(Poly.monomial(j), Poly.of(1, -2) + Poly.monomial(j))
+
+
+def run_factor(i):
+    return RationalGF(lis_count_poly(i) - lis_count_poly(i - 1).shift(2), Poly.of(1, -1))
+
+
+def naive_run_factor(i):
+    return RationalGF(lis_count_poly(i), Poly.of(1, -1))
+
+
 def test_class_gfs():
     assert class_gf(C4).expand(5).integers() == (1, 1, 2, 4, 8, 16)
     assert class_gf(ClassId.AV_312_123).expand(6).integers() == (1, 1, 2, 4, 7, 11, 16)
+
+
+def test_class_gfs_have_the_gcd_reduced_fields():
+    # the pairs class_gf writes out are the sums reduced by Euclid's gcd
+    one_minus_t = Poly.of(1, -1)
+    cubic = one_minus_t * one_minus_t * one_minus_t
+    c1 = RationalGF(ONE, one_minus_t) + RationalGF(Poly.monomial(2), cubic)
+    others = RationalGF.of(1) + RationalGF(Poly.monomial(1), Poly.of(1, -2))
+    for cid in ClassId:
+        expected = c1 if cid is ClassId.AV_312_123 else others
+        assert (class_gf(cid).num, class_gf(cid).den) == (expected.num, expected.den), cid
 
 
 def test_layered_denominator():
@@ -132,7 +158,7 @@ def test_involve_gf_base_case():
     words = [w for n in range(1, 10) for w in generate(C4, n)]
     assert len(words) == 511
     for w in words:
-        head = genfun._prefix_gf(w[0]) if w[0] > 0 else genfun._run_prefix_gf(-w[0])
+        head = prefix_factor(w[0]) if w[0] > 0 else run_factor(-w[0])
         assert involve_gf_sum_word(w) == head * involve_gf_sum_word(w[1:]), w
 
 
@@ -142,11 +168,11 @@ def test_product_identities():
     short = Poly.of(0)
     for i in range(1, 61):
         short = short + lis_count_poly(i - 1)
-        assert genfun._run_prefix_gf(i) * class_gf(C4) == class_gf(C4) - RationalGF.of(short), i
+        assert run_factor(i) * class_gf(C4) == class_gf(C4) - RationalGF.of(short), i
     # a layer a: a word uses layers below a throughout or starts with the
     # shortest prefix involving a
     for a in range(1, 31):
-        assert class_gf(C3) * (RationalGF.of(1) - genfun._prefix_gf(a)) == RationalGF(
+        assert class_gf(C3) * (RationalGF.of(1) - prefix_factor(a)) == RationalGF(
             ONE, layered_denominator(a)
         ), a
 
@@ -174,19 +200,15 @@ def test_no_recursion_per_pattern_letter():
         assert gf.expand(12).integers() == (1,) + tuple(2**k for k in range(12))
 
 
-def gcd_path(letters, run_factor):
+def gcd_path(letters, letter_run_factor):
     # the parts of the product multiplied out unreduced and reduced by
     # Euclid's gcd in RationalGF's constructor; avoidance as a difference
     num, den = class_gf(C4).num, class_gf(C4).den
     for letter in letters:
-        factor = genfun._prefix_gf(letter) if letter > 0 else run_factor(-letter)
+        factor = prefix_factor(letter) if letter > 0 else letter_run_factor(-letter)
         num, den = num * factor.num, den * factor.den
     involve = RationalGF(num, den)
     return involve, class_gf(C4) - involve
-
-
-def naive_run_factor(i):
-    return RationalGF(lis_count_poly(i), Poly.of(1, -1))
 
 
 def test_known_factor_reduction_matches_the_gcd():
@@ -197,12 +219,12 @@ def test_known_factor_reduction_matches_the_gcd():
     assert len(compositions) == 4096
     for p in compositions:
         gf = avoid_gf_layered(p)
-        expected = gcd_path(p, genfun._run_prefix_gf)[1]
+        expected = gcd_path(p, run_factor)[1]
         assert (gf.num, gf.den) == (expected.num, expected.den), p
     words = [w for n in range(11) for w in generate(C4, n)]
     assert len(words) == 1024
     for w in words:
-        involve, avoid = gcd_path(w, genfun._run_prefix_gf)
+        involve, avoid = gcd_path(w, run_factor)
         naive = gcd_path(w, naive_run_factor)[0]
         for gf, expected in (
             (involve_gf_sum_word(w), involve),
@@ -224,31 +246,15 @@ def test_repeated_factors_leave_the_normal_form(cid, pattern):
     # the exhaustive range above: the trusted pair is in normal form when
     # den(0) = 1 and num and den are coprime.  Euclid over the rationals
     # takes seconds to minutes at these degrees, so coprimality is decided
-    # mod a prime
+    # mod a prime, here and in RationalGF's constructor
     gfs = [avoid_gf(cid, pattern)]
     if cid is C4:
         gfs += [involve_gf_sum_word(pattern), involve_gf_product_form(pattern)]
     for gf in gfs:
         assert gf.den.coefficient(0) == 1
-        assert coprime_mod_prime(gf.num, gf.den)
-
-
-def coprime_mod_prime(f, g, p=2**61 - 1):
-    # Euclid over the integers mod p.  p divides neither leading coefficient,
-    # so a common factor over the rationals keeps its degree mod p, and a
-    # constant gcd mod p proves f and g coprime
-    assert f.coeffs[-1] % p and g.coeffs[-1] % p
-    a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
-    while b:
-        inverse = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q, shift = a[-1] * inverse % p, len(a) - len(b)
-            for k, c in enumerate(b):
-                a[shift + k] = (a[shift + k] - q * c) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
+        assert _coprime_mod_prime(gf.num, gf.den)
+        again = RationalGF(gf.num, gf.den)
+        assert (again.num, again.den) == (gf.num, gf.den)
 
 
 def test_closed_form_premises():
@@ -303,10 +309,11 @@ def test_built_gfs_are_not_kept_alive():
 
 @pytest.mark.parametrize("word", [(-2,), (3, -1), (-1, 2, -1)])
 def test_closed_form_checks_its_divisions(word):
-    # the naive run factor L_i/(1-t) is not 1 at t = 1/2, so 1-2t does not
-    # divide P - Q: avoidance with it raises instead of returning a pair
+    # with the naive run numerator b_i, a run letter's factor is not 1 at
+    # t = 1/2, so 1-2t does not divide (1-t) den - num: avoidance with it
+    # raises instead of returning a pair
     with pytest.raises(ArithmeticError, match="does not reduce the GF of"):
-        genfun._pattern_gf(word, naive_run_factor, avoid=True)
+        genfun._pattern_gf(word, reduced_lis_poly, avoid=True)
 
 
 def test_divmod_decides_divisibility():
@@ -344,7 +351,7 @@ def test_product_form_vanishes_but_overcounts():
         loop = class_gf(C4)
         for letter in w:
             if letter > 0:
-                loop = loop * genfun._prefix_gf(letter)
+                loop = loop * prefix_factor(letter)
             else:
                 loop = loop * RationalGF(lis_count_poly(-letter), Poly.of(1, -1))
         assert involve_gf_product_form(w) == loop, w
@@ -395,9 +402,9 @@ def layered_to_sum_word(pattern):
 
 def test_every_layered_avoidance_gf_is_a_sum_word_one():
     # the factor identities that let the map above work at every size
-    g1 = genfun._prefix_gf(1)
-    assert g1 * g1 == genfun._prefix_gf(2)
-    assert genfun._run_prefix_gf(1) == g1
+    g1 = prefix_factor(1)
+    assert g1 * g1 == prefix_factor(2)
+    assert run_factor(1) == g1
     assert class_gf(C4) * g1 == class_gf(C4) - RationalGF.of(1)
     compositions = [p for n in range(11) for p in generate(C3, n)]
     assert len(compositions) == 1024
@@ -410,7 +417,7 @@ def test_every_layered_avoidance_gf_is_a_sum_word_one():
         if p:
             assert avoid_gf_layered(p) == RationalGF(
                 ONE, layered_denominator(p[0])
-            ) + genfun._prefix_gf(p[0]) * avoid_gf_layered(p[1:]), p
+            ) + prefix_factor(p[0]) * avoid_gf_layered(p[1:]), p
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +456,6 @@ def test_lis_poly_counts_by_longest_run(n):
 
 def test_lis_poly_cold_cache_large_index():
     # the closed form has no recursion depth: a cold index 1000 works
-    lis_count_poly.cache_clear()
     lis_root.cache_clear()
     poly = lis_count_poly(1000)
     assert poly.degree == 2000 and poly.coefficient(1000) == 1
@@ -474,9 +480,9 @@ def test_prefix_factors_count_minimal_prefixes(cid, pattern):
     # coefficient m of a letter's factor (a run letter's with the drop letter
     # after it) counts the size-m words that are their own shortest prefix
     # involving those letters
-    factor = genfun._prefix_gf(pattern[-1])
+    factor = prefix_factor(pattern[-1])
     if len(pattern) == 2:
-        factor = genfun._run_prefix_gf(-pattern[0]) * factor
+        factor = run_factor(-pattern[0]) * factor
     coeffs = factor.expand(12).coeffs
     for m in range(13):
         minimal = [w for w in generate(cid, m) if shortest_prefix_end(cid, w, pattern) == len(w)]

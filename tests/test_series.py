@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wilfcollapse.errors import PoleError
-from wilfcollapse.series import ONE, Poly, RationalGF, poly_gcd
+from wilfcollapse.series import ONE, Poly, RationalGF, _coprime_mod_prime, poly_gcd
 
 small_polys = st.builds(
     lambda coeffs: Poly.of(*coeffs),
@@ -58,6 +58,23 @@ def test_poly_gcd_is_primitive_and_exact(a, b, c):
     assert (a * c).divmod(g)[1].is_zero() and (b * c).divmod(g)[1].is_zero()
     assert g.primitive() == g and g.coeffs[-1] > 0
     assert g.divmod(c.primitive())[1].is_zero()
+
+
+@given(small_polys, small_polys, nonzero_polys)
+def test_coprime_mod_prime_agrees_with_the_gcd(a, b, c):
+    # p = 2^61 - 1 divides no leading coefficient here, so the test mod p
+    # decides coprimality exactly; the zero polynomial is never proved coprime
+    for f, g in ((a, b), (a * c, b * c)):
+        expected = not f.is_zero() and not g.is_zero() and poly_gcd(f, g).degree == 0
+        assert _coprime_mod_prime(f, g) == expected
+
+
+def test_coprime_mod_prime_leaves_a_leading_multiple_of_p_to_the_gcd():
+    p = 2**61 - 1
+    shared = Poly.of(1, 1)
+    assert not _coprime_mod_prime(Poly.of(1, p), ONE)
+    f = RationalGF(Poly.of(0, p) * shared, Poly.of(1, -1) * shared)
+    assert (f.num, f.den) == (Poly.of(0, p), Poly.of(1, -1))
 
 
 def test_poly_coefficients_are_integers():

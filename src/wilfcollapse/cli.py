@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, astuple, fields
+from json.encoder import encode_basestring_ascii
 
 from .canonical import (
     canonical_pair,
@@ -151,7 +152,12 @@ def _apply_config(argv: list[str]) -> list[str]:
     Splice key=value pairs from a --config file in as defaults.  The flag is
     found by argparse, so every spelling it takes for --config is read; a
     --config without PATH is left for the subcommand's parser to report.
+    Only a token whose part before "=" begins "--" and is a prefix of
+    "--config" can name the flag; without one the finder's pass is skipped.
     """
+    if not any(tok.startswith("--") and "--config".startswith(tok.partition("=")[0])
+               for tok in argv):
+        return argv
     try:
         path = _config_finder().parse_known_args(argv)[0].config
     except argparse.ArgumentError:
@@ -190,22 +196,27 @@ _COLLAPSE_HEADER = [f.name for f in fields(CollapseRow)]
 
 
 def _cmd_enumerate(args) -> int:
-    class_id = args.class_id
-    elements = member_texts(class_id, args.n, "element")
+    # the bytes json.dumps(indent=2, sort_keys=True) and csv.writer would
+    # write, built directly: with an indent json.dumps runs its pure-Python
+    # encoder, and csv.writer tests every field
+    class_id, n = args.class_id, args.n
+    elements = member_texts(class_id, n, "element")
     if args.format == "json":
-        payload = {
-            "class": class_id.value,
-            "n": args.n,
-            "count": len(elements),
-            "elements": elements,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        # every class has a member of every size, so the list is never empty
+        body = ",\n    ".join(map(encode_basestring_ascii, elements))
+        _emit(f'{{\n  "class": {encode_basestring_ascii(class_id.value)},\n'
+              f'  "count": {len(elements)},\n  "elements": [\n    {body}\n  ],\n'
+              f'  "n": {n}\n}}\n', args.out)
     else:
-        # no text holds a quote or a line break: the csv writer quotes those with a comma
-        perms = member_texts(class_id, args.n, "permutation")
-        columns = ([f'"{t}"' if "," in t else t for t in texts] for texts in (elements, perms))
-        rows = "".join([f"{e},{p}\n" for e, p in zip(*columns)])
-        _emit("element,permutation\n" + rows, args.out)
+        # no text holds a quote or a line break, so a field is quoted exactly
+        # when it holds a comma: every c1 element text does and no other
+        # element text does; a permutation text does from size 2 on
+        perms = member_texts(class_id, n, "permutation")
+        qe = '"' if class_id is ClassId.AV_312_123 else ""
+        qp = '"' if n >= 2 else ""
+        mid, end = f"{qe},{qp}", f"{qp}\n{qe}"  # between the fields, between the rows
+        rows = end.join([f"{e}{mid}{p}" for e, p in zip(elements, perms)])
+        _emit(f"element,permutation\n{qe}{rows}{qp}\n", args.out)
     return 0
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,13 @@ import pytest
 import wilfcollapse
 from wilfcollapse import cli, engine
 from wilfcollapse.cli import run
-from wilfcollapse.encodings import ClassId, format_function, generate, to_permutation
+from wilfcollapse.encodings import (
+    ClassId,
+    format_function,
+    generate,
+    member_texts,
+    to_permutation,
+)
 from wilfcollapse.genfun import avoid_gf
 from wilfcollapse.perms import format_perm
 
@@ -193,6 +200,33 @@ def test_enumerate_rows_match_member_by_member_formatting(cid, fmt, capsys):
         assert run(["enumerate", "--class", cid.value, "--n", str(n), "--format", fmt]) == 0
         out, _ = capture(capsys)
         assert out == _enumerate_oracle(cid, n, fmt), (n, fmt)
+
+
+@pytest.mark.parametrize("cid", list(ClassId))
+def test_enumerate_fast_path_premises_up_to_the_limit(cid):
+    # enumerate writes each text between bare quotes in JSON, and quotes a CSV
+    # column exactly when its texts hold a comma: every c1 element text does
+    # and no other element text does, a permutation text does from size 2 on
+    for n in range(cli.MAX_ENUMERATE_SIZE + 1):
+        for kind, comma in [("element", cid is ClassId.AV_312_123), ("permutation", n >= 2)]:
+            texts = member_texts(cid, n, kind)
+            joined = "".join(texts)
+            assert joined.isascii() and joined.isprintable(), (n, kind)
+            assert '"' not in joined and "\\" not in joined, (n, kind)
+            assert {"," in t for t in texts} == {comma}, (n, kind)
+
+
+def test_enumerate_limit_size_output_parses_back(capsys):
+    # c2's permutation column is the quoted one
+    elements = member_texts(ClassId.AV_312_213, 18, "element")
+    perms = member_texts(ClassId.AV_312_213, 18, "permutation")
+    assert run(["enumerate", "--class", "c2", "--n", "18", "--format", "json"]) == 0
+    out, _ = capture(capsys)
+    assert json.loads(out) == {"class": "c2", "count": 2**17, "elements": elements, "n": 18}
+    assert run(["enumerate", "--class", "c2", "--n", "18", "--format", "csv"]) == 0
+    out, _ = capture(capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["element", "permutation"], *map(list, zip(elements, perms))]
 
 
 def test_enumerate_edge_rows(capsys):
@@ -411,6 +445,34 @@ def test_config_line_without_key_is_unreadable(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert err.startswith("cannot read config: ") and f"line 2: no key in {line.strip()!r}" in err
+
+
+def test_config_finder_pass_is_skipped_only_where_it_reads_nothing(tmp_path):
+    # _apply_config runs the finder only if some token may spell --config; on
+    # every argv here it opens a (missing) file exactly when the finder reads one
+    path = str(tmp_path / "missing.conf")
+    flags = ["--config"[:k] for k in range(1, 9)] + [
+        "--configs", "--cfg", "---config", "-config", "-c", "--class", "--Config"]
+    argvs = [["classify"], ["classify", "--"], ["classify", "--class", "c3"],
+             ["classify", "--", "--config", path], ["gf", "--pattern", "--config", path]]
+    for flag in flags:
+        for spelled in ([flag, path], [f"{flag}={path}"], [f"{flag}="], [flag]):
+            argvs += [["classify", *spelled], ["roots", *spelled, "--family", "q"],
+                      ["classify", "--n", "3", *spelled, "--class", "c3"]]
+    read = 0
+    for argv in argvs:
+        try:
+            reads = cli._config_finder().parse_known_args(argv)[0].config is not None
+        except argparse.ArgumentError:
+            reads = False
+        if reads:
+            read += 1
+            with pytest.raises(FileNotFoundError):
+                cli._apply_config(argv)
+        else:
+            assert cli._apply_config(argv) is argv, argv
+    # at least every prefix from --c to --config, spaced or joined, in each of 3 places
+    assert read >= 6 * 2 * 3
 
 
 def test_parser_is_built_once():

@@ -149,13 +149,11 @@ def valid_pairs(n: int) -> tuple[PartitionPair, ...]:
     """All canonical partition pairs of total size n."""
     result = []
     for bsum in range(n + 1):
+        asum = n - bsum
+        # run parts of 2 or more, then those with one 1 (none when asum is 0)
+        candidates = list(_partitions(asum, asum, min_part=2))
+        candidates += [p + (1,) for p in _partitions(asum - 1, asum - 1, min_part=2)]
         for bp in _partitions(bsum, bsum, min_part=2):
-            asum = n - bsum
-            candidates = list(_partitions(asum, asum, min_part=2))
-            if asum >= 1:
-                candidates += [
-                    p + (1,) for p in _partitions(asum - 1, max(asum - 1, 1), min_part=2)
-                ]
             for ap in candidates:
                 if len(ap) <= len(bp) + 1:
                     result.append(PartitionPair(bp, ap))

@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, astuple, fields
 from json.encoder import encode_basestring_ascii
 
 from .canonical import (
@@ -186,13 +185,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list | tuple]) -> str:
+def _csv_text(header: tuple[str, ...], rows: list | tuple) -> str:
     # every field is an int, a header name, lis/layered or a .15f float: none
     # holds a comma, quote or line break, so none is quoted
     return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
-
-
-_COLLAPSE_HEADER = [f.name for f in fields(CollapseRow)]
 
 
 def _cmd_enumerate(args) -> int:
@@ -229,7 +225,7 @@ def _cmd_classify(args) -> int:
         payload = {
             "class": class_id.value,
             "depth": args.depth,
-            **asdict(row),
+            **row._asdict(),
             "groups": [
                 {"members": [fmt(m) for m in g.members], "counts": list(g.counts)}
                 for g in groups
@@ -237,7 +233,7 @@ def _cmd_classify(args) -> int:
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(_csv_text(_COLLAPSE_HEADER, [astuple(row)]), args.out)
+        _emit(_csv_text(CollapseRow._fields, [row]), args.out)
     return 0
 
 
@@ -273,13 +269,9 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    rows = []
-    if args.family == "q":
-        for n in range(1, args.max_n + 1):
-            rows.append(["lis", n, f"{lis_root(n):.15f}"])
-    else:
-        for a in range(2, args.max_n + 1):
-            rows.append(["layered", a, f"{layered_root(a):.15f}"])
+    q = args.family == "q"
+    kind, root, first = ("lis", lis_root, 1) if q else ("layered", layered_root, 2)
+    rows = [(kind, n, f"{root(n):.15f}") for n in range(first, args.max_n + 1)]
     if args.format == "json":
         payload = [
             {"kind": kind, "index": index, "value": float(value)}
@@ -287,7 +279,7 @@ def _cmd_roots(args) -> int:
         ]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(_csv_text(["kind", "index", "value"], rows), args.out)
+        _emit(_csv_text(("kind", "index", "value"), rows), args.out)
     return 0
 
 
@@ -307,7 +299,9 @@ def _cmd_verify(args) -> int:
             checked = gf_crosscheck(class_id, args.n, args.depth)
             lines.append(f"gf_crosscheck,ok ({checked} patterns)")
         except GFMismatchError as exc:
-            lines.append(f"gf_crosscheck,failed: {exc}")
+            # the message holds commas, so the field is quoted as csv.writer quotes it
+            failed = f"failed: {exc}".replace('"', '""')
+            lines.append(f'gf_crosscheck,"{failed}"')
             failures += 1
     else:
         row = collapse_row(class_id, args.n, wilf_classes(class_id, args.n, args.depth))
@@ -321,9 +315,9 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     rows = collapse_rows(args.class_id, args.max_n, args.depth)
     if args.format == "json":
-        _emit(json.dumps([asdict(r) for r in rows], indent=2) + "\n", args.out)
+        _emit(json.dumps([r._asdict() for r in rows], indent=2) + "\n", args.out)
     else:
-        _emit(_csv_text(_COLLAPSE_HEADER, [astuple(r) for r in rows]), args.out)
+        _emit(_csv_text(CollapseRow._fields, rows), args.out)
     return 0
 
 

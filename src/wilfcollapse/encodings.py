@@ -398,7 +398,7 @@ def class_leq(class_id: ClassId, x: ClassElement, y: ClassElement) -> bool:
 
 
 def leq_function(class_id: ClassId):
-    """The raw order test for a class, for tight counting loops."""
+    """The raw order test for a class, looked up once: for avoiding_elements' filter."""
     return _LEQ[class_id]
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .canonical import canonical_class_count, canonical_key
 from .encodings import (
@@ -58,8 +59,7 @@ class PairFinding:
     index: int | None  # first index where the sequences differ, if any
 
 
-@dataclass(frozen=True)
-class CollapseRow:
+class CollapseRow(NamedTuple):
     n: int
     c_n: int
     w_n: int

@@ -141,7 +141,6 @@ class Poly:
 
 
 ONE = Poly.of(1)
-T = Poly.of(0, 1)
 
 # Integer arithmetic in Decimals: any rounding raises instead of losing a digit
 _EXACT = decimal.Context(
@@ -191,11 +190,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.primitive()
 
 
-def _coprime_mod_prime(f: Poly, g: Poly, p: int = 2**61 - 1) -> bool:
+def _coprime_mod_prime(f: Poly, g: Poly) -> bool:
     """
-    Whether Euclid mod the prime p proves f and g coprime: when p divides
-    neither leading coefficient, a common factor keeps its degree mod p.
+    Whether Euclid mod the prime p = 2^61 - 1 proves f and g coprime: when p
+    divides neither leading coefficient, a common factor keeps its degree mod p.
     """
+    p = 2**61 - 1
     a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
     if not (a and b and a[-1] and b[-1]):
         return False
@@ -249,10 +249,12 @@ class RationalGF:
         return cls(num if isinstance(num, Poly) else Poly.of(num), ONE)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
+        if self.den == other.den:  # the product's shared factor would cost a gcd
+            return RationalGF(self.num + other.num, self.den)
         return RationalGF(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
-        return RationalGF(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __neg__(self) -> "RationalGF":
         return RationalGF(-self.num, self.den)

@@ -2,6 +2,7 @@ import pytest
 
 from wilfcollapse.canonical import (
     PartitionPair,
+    _partitions,
     canonical_class_count,
     canonical_key,
     canonical_pair,
@@ -85,6 +86,27 @@ def test_canonical_form_counts():
         forms = {canonical_pair(w) for w in generate(C4, n)}
         assert len(forms) == len(valid_pairs(n)), n
         assert forms == set(valid_pairs(n))
+
+
+def test_valid_pairs_keeps_its_order():
+    # the loop that rebuilt the run-part candidates for every drop partition
+    def rebuilt_per_drop_partition(n):
+        result = []
+        for bsum in range(n + 1):
+            for bp in _partitions(bsum, bsum, min_part=2):
+                asum = n - bsum
+                candidates = list(_partitions(asum, asum, min_part=2))
+                if asum >= 1:
+                    candidates += [
+                        p + (1,) for p in _partitions(asum - 1, max(asum - 1, 1), min_part=2)
+                    ]
+                for ap in candidates:
+                    if len(ap) <= len(bp) + 1:
+                        result.append(PartitionPair(bp, ap))
+        return tuple(result)
+
+    for n in range(25):
+        assert valid_pairs(n) == rebuilt_per_drop_partition(n), n
 
 
 def test_canonical_class_count_small():

@@ -19,6 +19,7 @@ from wilfcollapse.encodings import (
     member_texts,
     to_permutation,
 )
+from wilfcollapse.errors import GFMismatchError
 from wilfcollapse.genfun import avoid_gf
 from wilfcollapse.perms import format_perm
 
@@ -276,11 +277,26 @@ def test_verify_failure_lines(monkeypatch, capsys):
         "check,result\n"
         "soundness,3 violations\n"
         "completeness,1 unseparated\n"
-        "gf_crosscheck,failed: pattern (1, 1, 1, 1): coefficient 2 is 2, brute force gives 1\n"
+        'gf_crosscheck,"failed: pattern (1, 1, 1, 1): coefficient 2 is 2, brute force gives 1"\n'
     )
     assert run(["verify", "--class", "c1", "--n", "4", "--depth", "10"]) == 1
     out, _ = capture(capsys)
     assert out == "check,result\nwilf_count,1 != 2\n"
+
+
+def test_verify_gf_failure_is_one_csv_field(monkeypatch, capsys):
+    exc = GFMismatchError((3, 1), 5, 8, 7)
+
+    def fail(class_id, n, depth):
+        raise exc
+
+    monkeypatch.setattr(cli, "gf_crosscheck", fail)
+    assert run(["verify", "--class", "c4", "--n", "3", "--depth", "10"]) == 1
+    out, _ = capture(capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows), rows
+    assert rows[-1] == ["gf_crosscheck", f"failed: {exc}"]
+    assert "," in str(exc)
 
 
 def test_verify_ok_and_usage_error(capsys):

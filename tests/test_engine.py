@@ -11,6 +11,7 @@ from wilfcollapse.encodings import (
     to_permutation,
 )
 from wilfcollapse.engine import (
+    CollapseRow,
     collapse_rows,
     count_avoiders,
     canonical_groups,
@@ -177,6 +178,9 @@ def test_collapse_rows_examples():
     assert rows[4].c_n == 11 and rows[4].w_n == 2
     rows = collapse_rows(C3, 6, 12)
     assert rows[5].c_n == 32 and rows[5].w_n == 6 and rows[5].canonical_count == 6
+    # a row is the plain tuple the CLI prints, under the header of its fields
+    assert rows[3] == (4, 8, 3, 3)
+    assert CollapseRow._fields == ("n", "c_n", "w_n", "canonical_count")
 
 
 def test_gf_crosscheck():

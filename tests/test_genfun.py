@@ -44,6 +44,17 @@ C3 = ClassId.AV_312_231
 C4 = ClassId.AV_312_321
 
 
+def test_sums_over_one_denominator_run_no_gcd():
+    # the product of the two denominators shares a factor of degree 139,
+    # which the gcd took over 10 s to find; the shared denominator is kept
+    a = avoid_gf_sum_word((-5, 3, -1, 9) * 10)
+    start = time.perf_counter()
+    twice = a + a
+    assert (twice.num, twice.den) == (a.num.scale(2), a.den)
+    assert a - a == RationalGF.of(0)
+    assert time.perf_counter() - start < 5.0
+
+
 def brute_avoider_counts(cid, pattern, depth):
     leq = leq_function(cid)
     return tuple(

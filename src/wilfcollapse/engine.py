@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .canonical import canonical_class_count, canonical_key
@@ -169,14 +170,11 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
 
 
 def _partition(patterns, key) -> tuple[tuple, ...]:
-    """(key, members) pairs of the patterns grouped by key, ordered by first member."""
+    """(key, members) pairs of the patterns grouped by key, in order of first member."""
     groups: dict = {}
     for pattern in patterns:
         groups.setdefault(key(pattern), []).append(pattern)
-    return tuple(
-        (k, tuple(members))
-        for k, members in sorted(groups.items(), key=lambda item: item[1][0])
-    )
+    return tuple((k, tuple(members)) for k, members in groups.items())
 
 
 def wilf_classes(class_id: ClassId, n: int, depth: int) -> tuple[WilfGroup, ...]:
@@ -224,19 +222,20 @@ def verify_soundness(class_id: ClassId, n: int, depth: int) -> tuple[PairFinding
 def verify_completeness(class_id: ClassId, n: int, depth: int) -> tuple[PairFinding, ...]:
     """
     Patterns with distinct canonical forms must have counting sequences that
-    differ at some index up to the depth.  Pairs still equal at the depth
-    are returned as unseparated, demanding a larger depth; none when complete.
+    differ at some index up to the depth.  Pairs of representatives still
+    equal at the depth, listed group by group, are returned as unseparated,
+    demanding a larger depth; none when complete.
     """
     _check_budget(n, depth)
-    groups = canonical_groups(class_id, n)
-    representatives = [g[0] for g in groups]
-    unseparated = []
-    for i, x in enumerate(representatives):
-        cx = count_avoiders(class_id, x, depth)
-        for y in representatives[i + 1 :]:
-            if _first_difference(cx, count_avoiders(class_id, y, depth)) is None:
-                unseparated.append(PairFinding(x, y, None))
-    return tuple(unseparated)
+    tied = _partition(
+        (members[0] for members in canonical_groups(class_id, n)),
+        lambda p: count_avoiders(class_id, p, depth),
+    )
+    return tuple(
+        PairFinding(x, y, None)
+        for _, representatives in tied
+        for x, y in combinations(representatives, 2)
+    )
 
 
 def collapse_row(class_id: ClassId, n: int, groups: tuple[WilfGroup, ...]) -> CollapseRow:

@@ -13,6 +13,10 @@ RationalGF(num, den) reduces by the gcd, unless Euclid mod a prime
 stores a pair as given; only genfun calls it, on pairs that its closed form
 proves reduced.
 
+A sum a/b + c/d first reduces the quotient b/d = q_num/q_den, then adds
+over b * q_den == d * q_num (Knuth, TAOCP vol. 2, 4.5.1): a factor that b
+and d share is found by the gcd of the two denominators, not of the sum's.
+
 Every series quotient comes from one recurrence, _series: the expansion in
 ints or Fractions, and the expansion in exact Decimals that the CLI prints
 (converting a Decimal integer to text takes linear time, a big int
@@ -73,8 +77,6 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -87,8 +89,6 @@ class Poly:
 
     def shift(self, power: int) -> "Poly":
         """Multiply by t**power."""
-        if self.is_zero():
-            return self
         return Poly((0,) * power + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -226,7 +226,7 @@ class RationalGF:
 
     def __post_init__(self):
         num, den = self.num, self.den
-        if den.is_zero() or den.coefficient(0) == 0:
+        if den.coefficient(0) == 0:
             raise ZeroDivisionError("denominator must have nonzero constant term")
         # a primitive factor divides out without changing the content (Gauss)
         g = ONE if _coprime_mod_prime(num, den) else poly_gcd(num, den)
@@ -249,9 +249,8 @@ class RationalGF:
         return cls(num if isinstance(num, Poly) else Poly.of(num), ONE)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
-        if self.den == other.den:  # the product's shared factor would cost a gcd
-            return RationalGF(self.num + other.num, self.den)
-        return RationalGF(self.num * other.den + other.num * self.den, self.den * other.den)
+        q = RationalGF(self.den, other.den)  # self.den * q.den == other.den * q.num
+        return RationalGF(self.num * q.den + other.num * q.num, self.den * q.den)
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
         return self + -other

@@ -1,4 +1,6 @@
+import ast
 import doctest
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +19,19 @@ def test_module_examples(module):
 def test_readme_examples():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_package_imports_only_the_standard_library():
+    # the north star is a stdlib-only library: every absolute import in the
+    # package names a standard-library module at its top level
+    package = Path(engine.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert len(modules) > 5 and "decimal" in imported
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names

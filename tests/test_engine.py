@@ -171,6 +171,30 @@ def test_soundness_and_completeness():
     assert verify_completeness(C3, 2, 8) == ()
 
 
+def test_completeness_pairs_when_the_depth_cannot_separate():
+    # the pairwise loop that grouping by counts replaced, as the oracle
+    def pairwise(cid, n, depth):
+        representatives = [g[0] for g in canonical_groups(cid, n)]
+        return [
+            (x, y)
+            for i, x in enumerate(representatives)
+            for y in representatives[i + 1 :]
+            if count_avoiders(cid, x, depth) == count_avoiders(cid, y, depth)
+        ]
+
+    tied = 0
+    for cid in ClassId:
+        for n in range(7):
+            for depth in range(n + 3):
+                found = verify_completeness(cid, n, depth)
+                pairs = [(f.x, f.y) for f in found]
+                assert all(f.index is None for f in found)
+                assert len(set(pairs)) == len(pairs)
+                assert set(pairs) == set(pairwise(cid, n, depth)), (cid, n, depth)
+                tied += len(pairs)
+    assert tied > 0
+
+
 def test_collapse_rows_examples():
     rows = collapse_rows(C2, 6, 12)
     assert rows[5].n == 6 and rows[5].c_n == 32 and rows[5].w_n == 1

@@ -46,12 +46,20 @@ C4 = ClassId.AV_312_321
 
 def test_sums_over_one_denominator_run_no_gcd():
     # the product of the two denominators shares a factor of degree 139,
-    # which the gcd took over 10 s to find; the shared denominator is kept
+    # which the gcd of the sum took over 10 s to find; a sum adds over the
+    # denominator that the reduced quotient of the two denominators gives
     a = avoid_gf_sum_word((-5, 3, -1, 9) * 10)
+    b = a * RationalGF(ONE, Poly.of(1, -3))
     start = time.perf_counter()
     twice = a + a
     assert (twice.num, twice.den) == (a.num.scale(2), a.den)
     assert a - a == RationalGF.of(0)
+    lcm = a.den * Poly.of(1, -3)
+    total, difference = a + b, b - a
+    expected = RationalGF(a.num * Poly.of(2, -3), lcm)
+    assert (total.num, total.den) == (expected.num, expected.den)
+    expected = RationalGF(a.num * Poly.of(0, 3), lcm)
+    assert (difference.num, difference.den) == (expected.num, expected.den)
     assert time.perf_counter() - start < 5.0
 
 

@@ -22,6 +22,9 @@ def test_poly_basics():
     assert Poly.monomial(3).coeffs == (0, 0, 0, 1)
     assert str(Poly.of(1, -2, 1)) == "1 - 2*t + t^2"
     assert str(Poly(())) == "0"
+    # the constructor trims an empty product or shift to the zero polynomial
+    zero = Poly(())
+    assert zero * p == p * zero == zero * zero == zero.shift(3) == zero
 
 
 def test_poly_divmod_and_gcd():
@@ -109,6 +112,8 @@ def test_rational_normalization():
     assert g.num == Poly.of(0, 1) and g.den == Poly.of(1, -1)
     with pytest.raises(ZeroDivisionError):
         RationalGF(ONE, Poly.of(0, 1))
+    with pytest.raises(ZeroDivisionError):
+        RationalGF(ONE, Poly(()))
 
 
 def test_rational_arithmetic_and_equality():
@@ -130,6 +135,16 @@ def test_rational_normal_form_is_unique(a, b, c):
     # must normalise away
     f, g = RationalGF(a * c, b * c), RationalGF(a, b)
     assert f == g and hash(f) == hash(g)
+
+
+@given(small_polys, nonzero_at_0, small_polys, nonzero_at_0, nonzero_at_0)
+def test_sums_over_a_shared_denominator_factor(a, b, c, d, shared):
+    # a sum adds over the reduced quotient of the denominators; it must
+    # agree with adding over their product
+    x, y = RationalGF(a, b * shared), RationalGF(c, d * shared)
+    for total, sign in ((x + y, 1), (x - y, -1)):
+        expected = RationalGF(x.num * y.den + (y.num * x.den).scale(sign), x.den * y.den)
+        assert (total.num, total.den) == (expected.num, expected.den)
 
 
 def test_expand_geometric():

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 
 from .canonical import (
@@ -256,11 +257,12 @@ def _cmd_gf(args) -> int:
         # Python's int-to-string limit stays the bound on a printed coefficient;
         # 0 (no limit) on a Python without one, before 3.10.7
         limit = getattr(sys, "get_int_max_str_digits", int)()
-        for k, c in enumerate(coeffs):
-            if limit and c.adjusted() >= limit:  # adjusted() is the digit count - 1
-                raise ValueError(
-                    f"the coefficient of t^{k} has more than {limit} digits; lower --expand"
-                )
+        # adjusted() is the digit count - 1; copy_abs, as abs() rounds to 28 digits
+        if limit and max(map(Decimal.copy_abs, coeffs)).adjusted() >= limit:
+            k = next(k for k, c in enumerate(coeffs) if c.adjusted() >= limit)
+            raise ValueError(
+                f"the coefficient of t^{k} has more than {limit} digits; lower --expand"
+            )
         # integers are never quoted, so these are the csv writer's bytes; !s, as
         # Decimal.__format__ takes twice as long as str
         text += "n,count\n" + "".join([f"{k},{c!s}\n" for k, c in enumerate(coeffs)])
@@ -273,11 +275,13 @@ def _cmd_roots(args) -> int:
     kind, root, first = ("lis", lis_root, 1) if q else ("layered", layered_root, 2)
     rows = [(kind, n, f"{root(n):.15f}") for n in range(first, args.max_n + 1)]
     if args.format == "json":
-        payload = [
-            {"kind": kind, "index": index, "value": float(value)}
+        # the bytes of json.dumps(payload, indent=2), built directly as in
+        # enumerate: json writes a float as its repr, and the list is never empty
+        body = "\n  },\n  {\n".join([
+            f'    "kind": "{kind}",\n    "index": {index},\n    "value": {float(value)!r}'
             for kind, index, value in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        ])
+        _emit(f"[\n  {{\n{body}\n  }}\n]\n", args.out)
     else:
         _emit(_csv_text(("kind", "index", "value"), rows), args.out)
     return 0

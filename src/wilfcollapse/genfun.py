@@ -45,7 +45,6 @@ Chebyshev identity checked below.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .encodings import ClassId, Composition, SumWord, validate_element
@@ -251,12 +250,13 @@ def _dyadic_bracket(root: float) -> tuple[int, int, int]:
     """
     Integers lo, hi and k with lo/2^k < root < hi/2^k, both points strictly
     inside root * (1 +- 5e-7).  2^-k <= |root|/2^22 < |root|/(4 * 10^6), so
-    root lies more than two steps of 2^-k from either end.
+    root lies more than two steps of 2^-k from either end.  In integers:
+    root * 2^k = x/d exactly, and the ends are (2 * 10^6 x -+ |x|)/(2 * 10^6 d).
     """
     k = 23 - math.frexp(root)[1]
-    x = Fraction(root) * 2**k
-    half_width = abs(x) / 2_000_000
-    return math.floor(x - half_width) + 1, math.ceil(x + half_width) - 1, k
+    x, d = math.ldexp(root, k).as_integer_ratio()
+    x, width, d = 2_000_000 * x, abs(x), 2_000_000 * d
+    return (x - width) // d + 1, -((-x - width) // d) - 1, k
 
 
 def _changes_sign_around(poly: Poly, root: float) -> bool:

@@ -17,10 +17,12 @@ A sum a/b + c/d first reduces the quotient b/d = q_num/q_den, then adds
 over b * q_den == d * q_num (Knuth, TAOCP vol. 2, 4.5.1): a factor that b
 and d share is found by the gcd of the two denominators, not of the sum's.
 
-Every series quotient comes from one recurrence, _series: the expansion in
-ints or Fractions, and the expansion in exact Decimals that the CLI prints
-(converting a Decimal integer to text takes linear time, a big int
-quadratic time).  Every exact polynomial division is Poly.divmod.
+Every series quotient first peels each factor 1-t off the denominator in
+ints (RationalGF._peeled): dividing by 1-t is a prefix sum, a C loop.  One
+recurrence, _series, runs over the denominator's remaining terms: the
+expansion in ints or Fractions, and the expansion in exact Decimals that
+the CLI prints (converting a Decimal integer to text takes linear time, a
+big int quadratic time).  Every exact polynomial division is Poly.divmod.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import PoleError
 
@@ -158,7 +161,8 @@ def _series(num, den, order: int) -> list:
     with den[0] == 1.  The recurrence f_n = num_n - den_1 f_(n-1) - ... -
     den_d f_(n-d) (Flajolet and Sedgewick, Analytic Combinatorics, IV.3)
     runs over the taps (k, -den_k) of den's nonzero terms past the constant,
-    on a list with d zeros in front, so no index is tested.
+    on a list with d zeros in front, so no index is tested.  RationalGF's
+    callers pass den with its factors 1-t peeled off (RationalGF._peeled).
 
     >>> _series((1,), (1, -1, -1), 6)
     [1, 1, 2, 3, 5, 8, 13]
@@ -268,11 +272,31 @@ class RationalGF:
             raise PoleError("divisor has a zero constant term; no series quotient")
         return RationalGF(self.num * other.den, self.den * other.num)
 
+    def _peeled(self, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """
+        num and den with every factor 1-t divided out of den, in ints: while
+        den(1) == 0, den becomes its prefix sums but the last (a zero), and
+        num, padded to order + 1 terms, its prefix sums, the first order + 1
+        coefficients of num/(1-t).  den(0) is unchanged.
+
+        >>> RationalGF(Poly.of(1), Poly.of(1, -2, 1))._peeled(4)
+        ((1, 2, 3, 4, 5), (1,))
+        """
+        num, den = self.num.coeffs, self.den.coeffs
+        while sum(den) == 0:
+            num = tuple(accumulate(num[: order + 1] + (0,) * (order + 1 - len(num))))
+            den = tuple(accumulate(den[:-1]))
+        return num, den
+
     def expand(self, order: int) -> "TruncSeries":
-        """Series expansion to the given order: ints, or Fractions when den(0) != 1."""
+        """
+        Series expansion to the given order: ints, or Fractions when den(0)
+        != 1; the factors 1-t of den are peeled off first, in ints.
+        """
         if order < 0:
             raise ValueError("order must be non-negative")
-        num, den, lead = self.num.coeffs, self.den.coeffs, self.den.coeffs[0]
+        num, den = self._peeled(order)
+        lead = den[0]
         if lead != 1:
             num, den = [Fraction(c, lead) for c in num], [Fraction(c, lead) for c in den]
         return TruncSeries(tuple(_series(num, den, order)))
@@ -291,7 +315,7 @@ class RationalGF:
             raise ValueError("order must be non-negative")
         if self.den.coeffs[0] != 1:
             return tuple(map(Decimal, self.expand(order).integers()))
-        num, den = (tuple(map(Decimal, p.coeffs)) for p in (self.num, self.den))
+        num, den = (tuple(map(Decimal, p)) for p in self._peeled(order))
         with decimal.localcontext(_EXACT):
             return tuple(_series(num, den, order))
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from wilfcollapse.encodings import (
 from wilfcollapse.errors import GFMismatchError
 from wilfcollapse.genfun import avoid_gf
 from wilfcollapse.perms import format_perm
+from wilfcollapse.series import RationalGF
 
 
 def capture(capsys):
@@ -141,6 +143,27 @@ def test_roots_table(capsys):
     assert lines[2].startswith("lis,2,-0.38196601")
 
 
+@pytest.mark.parametrize("family", ["q", "layered"])
+@pytest.mark.parametrize("max_n", [1, 2, 3, 150, 400])
+def test_roots_json_is_the_json_module_bytes(family, max_n, capsys):
+    # roots builds its JSON text directly; it must equal json.dumps of the
+    # rows the CSV table prints, each value read back as a float
+    csv_code = run(["roots", "--family", family, "--max-n", str(max_n)])
+    table, _ = capture(capsys)
+    code = run(["roots", "--family", family, "--max-n", str(max_n), "--format", "json"])
+    out, err = capture(capsys)
+    if family == "layered" and max_n == 1:  # below the first layered index
+        assert csv_code == code == 2 and out == ""
+        return
+    assert csv_code == code == 0 and err == ""
+    payload = [
+        {"kind": kind, "index": int(index), "value": float(value)}
+        for kind, index, value in csv.reader(io.StringIO(table.partition("\n")[2]))
+    ]
+    assert len(payload) == max_n + (family == "q") - 1
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_gf_output(capsys):
     code = run(["gf", "--class", "c3", "--pattern", "2", "--expand", "4"])
     out, _ = capture(capsys)
@@ -169,6 +192,28 @@ def test_gf_expand_past_the_int_string_limit(capsys):
     last = out.splitlines()[-1]
     assert last == f"{k - 1},{coeffs[k - 1]}"
     assert len(last.partition(",")[2]) == limit
+
+
+def test_gf_expand_digit_limit_boundaries(monkeypatch, capsys):
+    # 10^limit - 1 of either sign has limit digits and prints (abs() would
+    # round it up to limit + 1 digits); -10^limit is refused by its own index.
+    # Built from text: unary minus, like abs(), rounds to 28 digits
+    limit = sys.get_int_max_str_digits()
+    widest, too_wide = Decimal("9" * limit), Decimal("-1" + "0" * limit)
+    narrowest = Decimal("-" + "9" * limit)
+    argv = ["gf", "--class", "c3", "--pattern", "2", "--expand", "3"]
+    printed = (Decimal(1), widest, narrowest, Decimal(0))
+    monkeypatch.setattr(RationalGF, "decimal_coefficients", lambda self, order: printed)
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == [f"{k},{c}" for k, c in enumerate(printed)]
+    refused = (widest, Decimal(0), too_wide, narrowest)
+    monkeypatch.setattr(RationalGF, "decimal_coefficients", lambda self, order: refused)
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: the coefficient of t^2 has more than {limit} digits; lower --expand\n"
 
 
 def test_enumerate(capsys):

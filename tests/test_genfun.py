@@ -8,6 +8,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wilfcollapse.canonical import shortest_prefix_end
 from wilfcollapse.encodings import (
@@ -563,6 +565,27 @@ def test_dyadic_points_bracket_the_root():
         x = Fraction(root)
         a, b = sorted((x * Fraction(1999999, 2000000), x * Fraction(2000001, 2000000)))
         assert a < Fraction(lo, 2**k) < x < Fraction(hi, 2**k) < b, root
+
+
+def _fraction_bracket(root):
+    # _dyadic_bracket as first written, in Fractions
+    k = 23 - math.frexp(root)[1]
+    x = Fraction(root) * 2**k
+    half_width = abs(x) / 2_000_000
+    return math.floor(x - half_width) + 1, math.ceil(x + half_width) - 1, k
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_dyadic_bracket_matches_fractions(root):
+    assert genfun._dyadic_bracket(root) == _fraction_bracket(root)
+
+
+def test_dyadic_bracket_matches_fractions_at_powers_of_two():
+    # every binary exponent, subnormals included, and 1/2 plus one low bit
+    roots = [sign * 2.0**e for e in range(-1074, 1024) for sign in (1, -1)]
+    roots += [0.5 + 2.0 ** -(a + 1) for a in range(401)]
+    for root in roots:
+        assert genfun._dyadic_bracket(root) == _fraction_bracket(root), root
 
 
 def _fraction_endpoint_sign_change(poly, root):

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -213,6 +214,38 @@ def test_expand_matches_division():
     order = 10
     product = Poly(RationalGF(num, den).expand(order).coeffs) * den
     assert all(product.coefficient(k) == num.coefficient(k) for k in range(order + 1))
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=8),
+    st.sampled_from((1, -1, 2, 3)),
+    st.lists(st.integers(-5, 5), max_size=4),
+    st.integers(0, 6),
+    st.integers(0, 30),
+)
+def test_expansion_oracle_without_the_recurrence(num, r0, r_rest, m, order):
+    # den = (1 - t)^m r, stored unreduced: den times the expansion is num
+    # below t^(order + 1), in ints when den(0) = 1 and in Fractions otherwise
+    # (scaled by den(0)^(order + 1), which makes them integers)
+    num = Poly(tuple(num))
+    den = math.prod([Poly.of(1, -1)] * m, start=Poly.of(r0, *r_rest))
+    f = RationalGF._reduced(num, den)
+    coeffs = f.expand(order).coeffs
+    assert len(coeffs) == order + 1
+    assert all(type(c) is (int if r0 == 1 else Fraction) for c in coeffs)
+    scale = r0 ** (order + 1)
+    scaled = [c * scale for c in coeffs]
+    assert all(Fraction(c).denominator == 1 for c in scaled)
+    product = den * Poly(tuple(map(int, scaled)))
+    assert [product.coefficient(n) for n in range(order + 1)] == [
+        num.coefficient(n) * scale for n in range(order + 1)
+    ]
+    # the Decimal expansion prints as expand's integers, or refuses as they do
+    if all(Fraction(c).denominator == 1 for c in coeffs):
+        assert list(map(str, f.decimal_coefficients(order))) == [str(int(c)) for c in coeffs]
+    else:
+        with pytest.raises(ValueError):
+            f.decimal_coefficients(order)
 
 
 def test_eval_agrees_with_partial_sums():

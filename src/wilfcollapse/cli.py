@@ -43,13 +43,15 @@ from .genfun import avoid_gf, layered_root, lis_root
 MAX_ENUMERATE_SIZE = 18  # bounds the 2^(n-1) rows enumerate prints; it counts nothing
 
 
-def _at_least(low: int):
-    """An argparse type for integers no smaller than low."""
+def _int_in(low: int, high: int | None = None):
+    """An argparse type for integers from low to high, or no upper end when high is None."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -67,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, handler, *, with_format, classes=("c1", "c2", "c3", "c4"), with_n=False,
+    def add_common(p, handler, *, with_format, classes=("c1", "c2", "c3", "c4"), max_n=None,
                    with_depth=False):
         # checks after parsing report their usage errors through this parser
         p.set_defaults(parser=p, handler=handler)
@@ -77,17 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
         if classes:
             p.add_argument("--class", dest="class_id", required=True, choices=classes)
-        if with_n:
-            p.add_argument("--n", type=_at_least(0), required=True)
+        if max_n is not None:
+            p.add_argument("--n", type=_int_in(0, max_n), required=True)
         if with_depth:
-            p.add_argument("--depth", type=_at_least(0), default=16)
+            p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=16)
 
     p = sub.add_parser("enumerate", help="list all class members of one size")
-    add_common(p, _cmd_enumerate, with_format=True, with_n=True)
+    add_common(p, _cmd_enumerate, with_format=True, max_n=MAX_ENUMERATE_SIZE)
 
     p = sub.add_parser("classify",
                        help="group size-n patterns by their avoider counting sequences")
-    add_common(p, _cmd_classify, with_format=True, with_n=True, with_depth=True)
+    add_common(p, _cmd_classify, with_format=True, max_n=MAX_PATTERN_SIZE, with_depth=True)
 
     p = sub.add_parser("canon", help="canonical form of a layered or sum-word pattern")
     add_common(p, _cmd_canon, with_format=False, classes=("c3", "c4"))
@@ -96,46 +98,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", help="avoidance generating function of a pattern")
     add_common(p, _cmd_gf, with_format=False, classes=("c3", "c4"))
     p.add_argument("--pattern", required=True)
-    p.add_argument("--expand", type=_at_least(0), default=None, metavar="N",
+    p.add_argument("--expand", type=_int_in(0), default=None, metavar="N",
                    help="also print series coefficients up to order N")
 
     p = sub.add_parser("roots", help="table of separating real roots")
     add_common(p, _cmd_roots, with_format=True, classes=())
     p.add_argument("--family", choices=["q", "layered"], required=True)
-    p.add_argument("--max-n", type=_at_least(1), required=True)
+    p.add_argument("--max-n", type=_int_in(1), required=True)
 
     p = sub.add_parser("verify",
                        help="check the canonical grouping against avoider counts")
-    add_common(p, _cmd_verify, with_format=False, with_n=True, with_depth=True)
+    add_common(p, _cmd_verify, with_format=False, max_n=MAX_PATTERN_SIZE, with_depth=True)
 
     p = sub.add_parser("report", help="collapse table n, c_n, w_n, canonical count")
     add_common(p, _cmd_report, with_format=True, with_depth=True)
-    p.add_argument("--max-n", type=_at_least(1), required=True)
+    p.add_argument("--max-n", type=_int_in(1, MAX_PATTERN_SIZE), required=True)
 
     return parser
 
 
 def _check_size_and_depth(args) -> None:
     """
-    Reject an enumerated size above MAX_ENUMERATE_SIZE, a --depth above
-    MAX_DEPTH, a pattern size above MAX_PATTERN_SIZE, a layered root table
-    that stops before its first index 2, and a --depth that cannot separate
+    The two rules that read two flags; each flag's own range is checked by
+    its argparse type as it is parsed.  Reject a layered root table that
+    stops before its first index 2, and a --depth that cannot separate
     patterns of the given size n: every member below size n avoids a size-n
     pattern and at size n all but the pattern itself do, so to depth n all
     size-n patterns share their counts.
     """
     parser = args.parser
-    if args.command == "enumerate" and args.n > MAX_ENUMERATE_SIZE:
-        parser.error(f"--n {args.n} above the enumeration limit {MAX_ENUMERATE_SIZE}")
     if args.command == "roots" and args.family == "layered" and args.max_n < 2:
         parser.error(f"--max-n {args.max_n} below 2, the first layered index")
     if getattr(args, "depth", None) is None:
         return
     flag, size = ("--max-n", args.max_n) if args.command == "report" else ("--n", args.n)
-    if size > MAX_PATTERN_SIZE:
-        parser.error(f"{flag} {size} above the counting budget {MAX_PATTERN_SIZE}")
-    if args.depth > MAX_DEPTH:
-        parser.error(f"--depth {args.depth} above the counting budget {MAX_DEPTH}")
     if size >= 2 and args.depth <= size:
         parser.error(f"--depth {args.depth} must exceed {flag} {size} to separate patterns")
 

@@ -29,7 +29,7 @@ from string import whitespace
 from typing import Optional, Union
 
 from .errors import BasisViolationError, ParseError
-from .perms import Perm, format_perm, involves, sum_decompose
+from .perms import Perm, format_perm, involves, is_permutation, sum_decompose
 
 Triple = tuple[int, int, int]
 WedgeWord = Optional[str]
@@ -287,9 +287,11 @@ def from_permutation(class_id: ClassId, p: Perm) -> ClassElement:
     """
     Encode a permutation in the class-native form; inverse of to_permutation.
 
-    Raises BasisViolationError, naming the violated basis element, when p
-    lies outside the class.
+    Raises ValueError when p is not a permutation, BasisViolationError,
+    naming the violated basis element, when it lies outside the class.
     """
+    if not is_permutation(p):
+        raise ValueError(f"not a permutation of 1..n: {p}")
     _check_basis(class_id, p)
     e = _ENCODE[class_id](p)
     assert to_permutation(class_id, e) == p

@@ -154,25 +154,26 @@ _EXACT = decimal.Context(
 )
 
 
-def _series(num, den, order: int) -> list:
+def _series(num, den):
     """
-    Coefficients 0 to order of the power series num/den, for coefficient
-    sequences num and den of one number type (int, Fraction or Decimal)
-    with den[0] == 1.  The recurrence f_n = num_n - den_1 f_(n-1) - ... -
-    den_d f_(n-d) (Flajolet and Sedgewick, Analytic Combinatorics, IV.3)
-    runs over the taps (k, -den_k) of den's nonzero terms past the constant,
-    on a list with d zeros in front, so no index is tested.  RationalGF's
-    callers pass den with its factors 1-t peeled off (RationalGF._peeled).
+    The first len(num) coefficients of the power series num/den, for
+    coefficient sequences num and den of one number type (int, Fraction or
+    Decimal) with den[0] == 1.  The recurrence f_n = num_n - den_1 f_(n-1) -
+    ... - den_d f_(n-d) (Flajolet and Sedgewick, Analytic Combinatorics,
+    IV.3) runs over the taps (k, -den_k) of den's nonzero terms past the
+    constant, on a list with d zeros in front, so no index is tested; with
+    no tap, num is returned as it is.  RationalGF's callers pass num cut to
+    the order and den with its factors 1-t peeled off (RationalGF._peeled).
 
-    >>> _series((1,), (1, -1, -1), 6)
+    >>> _series((1, 0, 0, 0, 0, 0, 0), (1, -1, -1))
     [1, 1, 2, 3, 5, 8, 13]
     """
     taps = [(k, -c) for k, c in enumerate(den) if k and c]
-    zero = 0 * den[0]  # a zero of den's type
+    if not taps:
+        return num
     pad = len(den) - 1
-    f = [zero] * pad
-    f += num[: order + 1]
-    f += [zero] * (pad + order + 1 - len(f))
+    f = [0 * den[0]] * pad  # d zeros of den's type
+    f += num
     for n in range(pad, len(f)):
         acc = f[n]
         for k, c in taps:
@@ -274,17 +275,21 @@ class RationalGF:
 
     def _peeled(self, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """
-        num and den with every factor 1-t divided out of den, in ints: while
-        den(1) == 0, den becomes its prefix sums but the last (a zero), and
-        num, padded to order + 1 terms, its prefix sums, the first order + 1
-        coefficients of num/(1-t).  den(0) is unchanged.
+        num, cut or padded to order + 1 terms (a negative order raises
+        ValueError), and den, with every factor 1-t divided out of den, in
+        ints: while den(1) == 0, den becomes its prefix sums but the last (a
+        zero), and num its prefix sums, the first order + 1 coefficients of
+        num/(1-t).  den(0) is unchanged.
 
         >>> RationalGF(Poly.of(1), Poly.of(1, -2, 1))._peeled(4)
         ((1, 2, 3, 4, 5), (1,))
         """
-        num, den = self.num.coeffs, self.den.coeffs
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        num, den = self.num.coeffs[: order + 1], self.den.coeffs
+        num += (0,) * (order + 1 - len(num))
         while sum(den) == 0:
-            num = tuple(accumulate(num[: order + 1] + (0,) * (order + 1 - len(num))))
+            num = tuple(accumulate(num))
             den = tuple(accumulate(den[:-1]))
         return num, den
 
@@ -293,13 +298,11 @@ class RationalGF:
         Series expansion to the given order: ints, or Fractions when den(0)
         != 1; the factors 1-t of den are peeled off first, in ints.
         """
-        if order < 0:
-            raise ValueError("order must be non-negative")
         num, den = self._peeled(order)
         lead = den[0]
         if lead != 1:
             num, den = [Fraction(c, lead) for c in num], [Fraction(c, lead) for c in den]
-        return TruncSeries(tuple(_series(num, den, order)))
+        return TruncSeries(tuple(_series(num, den)))
 
     def decimal_coefficients(self, order: int) -> tuple[Decimal, ...]:
         """
@@ -311,13 +314,11 @@ class RationalGF:
         >>> RationalGF(Poly.of(1, -1), Poly.of(1, 1)).decimal_coefficients(3)
         (Decimal('1'), Decimal('-2'), Decimal('2'), Decimal('-2'))
         """
-        if order < 0:
-            raise ValueError("order must be non-negative")
         if self.den.coeffs[0] != 1:
             return tuple(map(Decimal, self.expand(order).integers()))
         num, den = (tuple(map(Decimal, p)) for p in self._peeled(order))
         with decimal.localcontext(_EXACT):
-            return tuple(_series(num, den, order))
+            return tuple(_series(num, den))
 
     def __str__(self) -> str:
         return f"num = {self.num}; den = {self.den}"

@@ -304,7 +304,7 @@ def test_enumerate_has_its_own_limit(capsys):
     assert len(out.splitlines()) == 1 + 18 * 17 // 2 + 1
     assert run(["enumerate", "--class", "c1", "--n", "19"]) == 2
     _, err = capture(capsys)
-    assert err.endswith("error: --n 19 above the enumeration limit 18\n")
+    assert err.endswith("error: argument --n: must be at most 18, got 19\n")
 
 
 def test_verify_failure_lines(monkeypatch, capsys):
@@ -398,6 +398,44 @@ def test_out_of_domain_arguments_are_usage_errors(argv, capsys):
     # every other usage error with the subcommand's
     if not {"--tol", "--format"} & set(argv):
         assert err.startswith(f"usage: wilfcollapse {argv[0]} "), err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["enumerate", "--class", "c1", "--n", "18"], None),
+        (["enumerate", "--class", "c1", "--n", "19"], "--n: must be at most 18, got 19"),
+        (["enumerate", "--class", "c1", "--n", "-1"], "--n: must be at least 0, got -1"),
+        (["classify", "--class", "c2", "--n", "8", "--depth", "16"], None),
+        (["classify", "--class", "c2", "--n", "9", "--depth", "16"], "--n: must be at most 8, got 9"),
+        (["classify", "--class", "c2", "--n", "-1"], "--n: must be at least 0, got -1"),
+        (["classify", "--class", "c2", "--n", "3", "--depth", "18"], None),
+        (["classify", "--class", "c2", "--n", "3", "--depth", "19"],
+         "--depth: must be at most 18, got 19"),
+        (["classify", "--class", "c2", "--n", "0", "--depth", "-1"],
+         "--depth: must be at least 0, got -1"),
+        (["verify", "--class", "c4", "--n", "9", "--depth", "16"], "--n: must be at most 8, got 9"),
+        (["report", "--class", "c2", "--max-n", "8", "--depth", "16"], None),
+        (["report", "--class", "c2", "--max-n", "9", "--depth", "16"],
+         "--max-n: must be at most 8, got 9"),
+        (["report", "--class", "c2", "--max-n", "0"], "--max-n: must be at least 1, got 0"),
+        (["roots", "--family", "q", "--max-n", "1"], None),
+        (["roots", "--family", "q", "--max-n", "0"], "--max-n: must be at least 1, got 0"),
+        (["gf", "--class", "c3", "--pattern", "2", "--expand", "0"], None),
+        (["gf", "--class", "c3", "--pattern", "2", "--expand", "-1"],
+         "--expand: must be at least 0, got -1"),
+    ],
+)
+def test_each_flag_range_at_both_ends(argv, error, capsys):
+    # each flag's range is checked by its own type as it is parsed
+    code = run(argv)
+    out, err = capture(capsys)
+    if error is None:
+        assert code == 0 and out, err
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: wilfcollapse {argv[0]} "), err
+        assert err.endswith(f"error: argument {error}\n"), err
 
 
 def test_determinism(capsys):

@@ -1,11 +1,13 @@
 import ast
 import doctest
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
 from wilfcollapse import canonical, encodings, engine, genfun, perms, series
+from wilfcollapse.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +37,17 @@ def test_package_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert len(modules) > 5 and "decimal" in imported
     assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+
+
+def _readme_command_lines() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
+def test_readme_command_lines_run(line, capsys):
+    program, *argv = shlex.split(line)
+    assert program == "wilfcollapse"
+    assert run(argv) == 0
+    assert capsys.readouterr().out

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wilfcollapse
 from wilfcollapse.encodings import (
     ClassId,
     avoiding_elements,
@@ -143,6 +148,29 @@ def test_from_permutation_worked_examples():
     with pytest.raises(BasisViolationError) as exc:
         from_permutation(ClassId.AV_312_231, (3, 1, 2))
     assert exc.value.basis_element == (3, 1, 2)
+
+
+@pytest.mark.parametrize("p", [(1, 1), (2, 3), (0, 1), (1, 3, 2, 2)])
+@pytest.mark.parametrize("cid", ALL_CLASSES, ids=lambda c: c.value)
+def test_from_permutation_rejects_a_non_permutation(cid, p):
+    with pytest.raises(ValueError, match="not a permutation of 1..n") as exc:
+        from_permutation(cid, p)
+    assert not isinstance(exc.value, BasisViolationError)
+
+
+def test_from_permutation_rejects_a_non_permutation_without_asserts():
+    # python -O strips the round-trip assert, which once caught c3 encoding
+    # (2, 3) as ()
+    code = ("from wilfcollapse.encodings import ClassId, from_permutation\n"
+            "from_permutation(ClassId.AV_312_231, (2, 3))")
+    src = str(Path(wilfcollapse.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1 and "ValueError: not a permutation of 1..n" in done.stderr
 
 
 def test_decreasing_triples_never_use_positive_a():

@@ -161,7 +161,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     injected: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is skipped
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

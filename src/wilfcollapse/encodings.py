@@ -164,11 +164,9 @@ def generate(class_id: ClassId, n: int) -> tuple[ClassElement, ...]:
 # Decoding to permutations
 
 def _triple_to_perm(e: Triple) -> Perm:
+    # the layers a and b above a decreasing tail of the c smallest values
     a, b, c = e
-    first = range(c + a, c, -1)
-    second = range(c + a + b, c + a, -1)
-    tail = range(c, 0, -1)
-    return tuple(first) + tuple(second) + tuple(tail)
+    return (*(v + c for v in _composition_to_perm((a, b))), *range(c, 0, -1))
 
 
 def _wedge_to_perm(e: WedgeWord) -> Perm:
@@ -228,22 +226,14 @@ def _check_basis(class_id: ClassId, p: Perm) -> None:
             raise BasisViolationError(p, basis_element)
 
 
-def _is_decreasing(p: Perm) -> bool:
-    return all(x > y for x, y in zip(p, p[1:]))
-
-
 def _triple_from_perm(p: Perm) -> Triple:
-    n = len(p)
-    if n == 0 or _is_decreasing(p):
-        return (0, 0, n)
-    c = 0
+    # the decreasing tail c .. 1 ends p; above it stand two layers, or
+    # nothing when p is decreasing
+    n, c = len(p), 0
     while c < n and p[n - 1 - c] == c + 1:
         c += 1
-    body = tuple(v - c for v in p[: n - c])
-    ascent = next(i for i in range(len(body) - 1) if body[i] < body[i + 1])
-    a = ascent + 1
-    b = len(body) - a
-    return (a, b, c)
+    layers = _composition_from_perm(tuple(v - c for v in p[: n - c]))
+    return (*(layers or (0, 0)), c)
 
 
 def _wedge_from_perm(p: Perm) -> WedgeWord:
@@ -302,9 +292,12 @@ def from_permutation(class_id: ClassId, p: Perm) -> ClassElement:
 # Class-specific order tests
 #
 # For c2, c3 and c4 the order test is a greedy left-to-right scan with a
-# small state, written once per class as a resumable scan(pattern, word,
-# state) that returns the state after word.  _SCANS holds each scan with its
-# start state and goal, and both the order test and scan_automaton read it.
+# small state, a resumable scan(pattern, word, state) that returns the state
+# after word.  There are two: c2's subsequence scan, and one scan of layers,
+# drop letters and run letters that c3 shares with c4, since a layer embeds
+# exactly as a drop letter does, into one target letter at least as large.
+# _SCANS holds each scan with its start state and goal, and both the order
+# test and scan_automaton read it.
 
 def _triple_leq(x: Triple, y: Triple) -> bool:
     a, b, c = x
@@ -324,31 +317,15 @@ def _wedge_scan(x: str, y: str, i: int) -> int:
     return len(x)
 
 
-def _composition_scan(x: Composition, y: Composition, i: int) -> int:
-    # Subword domination, matched greedily left to right.  The state is the
-    # number of parts of x matched so far.
-    k = len(x)
-    if i == k:
-        return i
-    want = x[i]
-    for part in y:
-        if part >= want:
-            i += 1
-            if i == k:
-                break
-            want = x[i]
-    return i
-
-
 def _sum_word_scan(x: SumWord, y: SumWord, state: tuple[int, int]) -> tuple[int, int]:
-    # A drop letter of the pattern must embed in a single drop letter of the
-    # target with index at least as large; a run letter may spread over
-    # several target letters, consuming the longest increasing run each
-    # provides: i for a run letter -i, j - 1 for a drop letter j.  A
-    # partially consumed target letter cannot also host the next pattern
-    # letter, so the scan always moves past it.  The state is (i, need): i
-    # letters of x are matched, and need > 0 is what the run letter x[i]
-    # still lacks once begun.
+    # A drop letter of the pattern, or a c3 layer, must embed in a single
+    # drop letter (layer) of the target with index at least as large; a run
+    # letter may spread over several target letters, consuming the longest
+    # increasing run each provides: i for a run letter -i, j - 1 for a drop
+    # letter j.  A partially consumed target letter cannot also host the
+    # next pattern letter, so the scan always moves past it.  The state is
+    # (i, need): i letters of x are matched, and need > 0 is what the run
+    # letter x[i] still lacks once begun.
     i, need = state
     k = len(x)
     if i == k:
@@ -372,10 +349,11 @@ def _sum_word_scan(x: SumWord, y: SumWord, state: tuple[int, int]) -> tuple[int,
     return i, need
 
 
+_LAYER_SCAN = (_sum_word_scan, (0, 0), lambda x: (len(x), 0))
 _SCANS = {
     ClassId.AV_312_213: (_wedge_scan, 0, len),
-    ClassId.AV_312_231: (_composition_scan, 0, len),
-    ClassId.AV_312_321: (_sum_word_scan, (0, 0), lambda x: (len(x), 0)),
+    ClassId.AV_312_231: _LAYER_SCAN,
+    ClassId.AV_312_321: _LAYER_SCAN,
 }
 
 

@@ -524,6 +524,17 @@ def test_config_flag_c_prefix_where_no_class_option(tmp_path, capsys):
     assert json.loads(out)[0]["kind"] == "lis"
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    # editors on Windows often save UTF-8 with a BOM; it must not join the first key
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"\xef\xbb\xbfclass=c3\nn=4\n")
+    code = run(["classify", "--config", str(config), "--depth", "12"])
+    out, _ = capture(capsys)
+    assert code == 0
+    assert run(["classify", "--class", "c3", "--n", "4", "--depth", "12"]) == 0
+    assert capture(capsys)[0] == out
+
+
 def test_config_file_not_utf8_is_unreadable(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_bytes(b"\xff\xfedepth=12\n")

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wilfcollapse
+from wilfcollapse.canonical import shortest_prefix_end
 from wilfcollapse.encodings import (
     ClassId,
     avoiding_elements,
@@ -237,6 +238,25 @@ def test_class_leq_matches_involvement_exhaustive():
             assert class_leq(cid, x, y) == involves(
                 to_permutation(cid, x), to_permutation(cid, y)
             ), (cid, x, y)
+
+
+def test_c3_and_c4_share_one_scan():
+    # a layer embeds as a drop letter does, into one target letter at least
+    # as large: on words of parts >= 2, both compositions and drop-only sum
+    # words, the two orders agree, as involvement of either decoding
+    c3, c4 = ClassId.AV_312_231, ClassId.AV_312_321
+    patterns, targets = (
+        [e for e in elements_up_to(c3, top) if all(part >= 2 for part in e)] for top in (7, 11)
+    )
+    assert (len(patterns), len(targets)) == (21, 144)
+    for x in patterns:
+        assert scan_automaton(c3, x)[0] is scan_automaton(c4, x)[0]
+        for y in targets:
+            leq = class_leq(c3, x, y)
+            assert leq == class_leq(c4, x, y), (x, y)
+            for cid in (c3, c4):
+                assert leq == involves(to_permutation(cid, x), to_permutation(cid, y)), (cid, x, y)
+            assert shortest_prefix_end(c3, y, x) == shortest_prefix_end(c4, y, x), (x, y)
 
 
 def test_reversal_is_an_order_symmetry():

@@ -315,6 +315,35 @@ def test_factored_form_from_the_letters():
             assert (gf.num, gf.den) == (num, den), w
 
 
+def _run_numerators(top: int) -> list[Poly]:
+    # M_0 .. M_top by M_i = (2 + t) M_(i-1) - M_(i-2), from M_0 = 1 - t, M_1 = 1
+    m = [Poly.of(1, -1), ONE]
+    while len(m) <= top:
+        m.append(Poly.of(2, 1) * m[-1] - m[-2])
+    return m
+
+
+def test_run_numerators_obey_their_three_term_recurrence():
+    # the finite premises of the coprimality of the M_i (ROADMAP item 2), first:
+    # genfun's M_i, built from b_(i-1) and b_(i-2), follow the recurrence
+    m = _run_numerators(60)
+    for i in range(1, 61):
+        assert genfun._run_numerator(i) == m[i], i
+
+
+def test_run_numerators_at_minus_one_cycle_and_never_vanish():
+    # at t = -1 the recurrence is M_i = M_(i-1) - M_(i-2), of period 6
+    values = [genfun._run_numerator(i).eval(-1) for i in range(1, 61)]
+    assert values == [1, -1, -2, -1, 1, 2] * 10
+
+
+def test_run_numerators_pairwise_coprime_to_sixty():
+    # 1,770 pairs; with M_i(-1) never 0 and the recurrence, the premises of the proof
+    m = {i: genfun._run_numerator(i) for i in range(2, 61)}
+    for i, j in itertools.combinations(m, 2):
+        assert _coprime_mod_prime(m[i], m[j]), (i, j)
+
+
 def test_built_gfs_are_not_kept_alive():
     # a pass over many patterns holds only the GFs its caller keeps
     builds = [

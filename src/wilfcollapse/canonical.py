@@ -10,16 +10,17 @@ letter); the canonical representative is a pair of partitions, one for the
 drop indices and one for the run indices, with at most one 1 among the runs
 and at most one more run than drops.
 
-``rewrite_closure`` computes full equivalence classes, lifting derived
-equivalences of standalone subwords into arbitrary contexts, and is the
-validation oracle for the canonical maps.  The explicit bijections used to
-justify each rule are implemented alongside, built on greedy shortest
-prefix/suffix factorization.
+``rewrite_closure`` computes full equivalence classes, the validation oracle
+for the canonical maps: compositions are rewritten in place, and each
+sum-word rule rewrites a whole word, which the lift puts into contexts.  The
+explicit bijections used to justify each rule are implemented alongside,
+built on greedy shortest prefix/suffix factorization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterator
 
 from .encodings import (
@@ -187,29 +188,6 @@ def _composition_rewrites(w: Composition) -> Iterator[Composition]:
             yield w[:i] + (2,) + w[i + 2 :]
 
 
-def _sum_word_local_rewrites(w: SumWord) -> Iterator[SumWord]:
-    n = len(w)
-    for i in range(n - 1):
-        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-        if runs_apart(swapped):
-            yield swapped
-    for i in range(n - 2):
-        if w[i] < 0 and w[i + 1] > 0 and w[i + 2] < 0 and w[i] != w[i + 2]:
-            yield w[:i] + (w[i + 2], w[i + 1], w[i]) + w[i + 3 :]
-    for i in range(n - 1):
-        if w[i] == 2 and w[i + 1] > 0:
-            candidate = w[:i] + (-1, w[i + 1], -1) + w[i + 2 :]
-            if runs_apart(candidate):
-                yield candidate
-        if (
-            i + 2 < n
-            and w[i] == -1
-            and w[i + 1] > 0
-            and w[i + 2] == -1
-        ):
-            yield w[:i] + (2, w[i + 1]) + w[i + 3 :]
-
-
 def _search(start, neighbours: Callable) -> frozenset:
     """Everything reachable from start through neighbours, breadth first."""
     seen = {start}
@@ -225,41 +203,39 @@ def _search(start, neighbours: Callable) -> frozenset:
     return frozenset(seen)
 
 
-def _sum_word_neighbours(w: SumWord) -> Iterator[SumWord]:
-    yield from _sum_word_local_rewrites(w)
-    n = len(w)
-    for start in range(n):
-        for end in range(start + 1, n + 1):
-            if start == 0 and end == n:
-                continue
-            inner = w[start:end]
-            for replacement in _sum_word_closure(inner):
-                if replacement == inner:
-                    continue
-                lifted = w[:start] + replacement + w[end:]
-                if runs_apart(lifted):
-                    yield lifted
+def _sum_word_relations(w: SumWord) -> Iterator[SumWord]:
+    """The rules, on whole words only: x y = y x, a_i b a_j = a_j b a_i, b2 b = a1 b a1."""
+    if len(w) == 2:
+        yield w[::-1]
+        if w[0] == 2 and w[1] > 0:
+            yield (-1, w[1], -1)
+    elif len(w) == 3 and w[0] < 0 < w[1] and w[2] < 0:
+        yield w[::-1]
+        if w[0] == w[2] == -1:
+            yield (2, w[1])
 
 
-_SUM_WORD_CLOSURES: dict[SumWord, frozenset] = {}
-
-
-def _sum_word_closure(word: SumWord) -> frozenset:
+def _sum_word_closure(word: SumWord, classes: dict[SumWord, frozenset]) -> frozenset:
     """
-    Breadth-first congruence closure.  Stepping only through valid words is
-    not enough: the contextual rule lifts any equivalence of a standalone
-    subword in one step, even when replaying its derivation inside the
-    context would pass through words with adjacent run letters.  Subword
-    closures are therefore computed recursively (on strictly fewer letters)
-    and spliced in whole.
+    Breadth-first congruence closure, stepping by a rule on the whole word or
+    by the lift: another member of a proper subword's class spliced in where
+    the runs stay apart (replaying its derivation in place could pass through
+    adjacent runs).  Subword classes are kept in classes for one call.
     """
-    cached = _SUM_WORD_CLOSURES.get(word)
-    if cached is not None:
-        return cached
-    result = _search(word, _sum_word_neighbours)
-    for member in result:
-        _SUM_WORD_CLOSURES[member] = result
-    return result
+
+    def steps(w: SumWord) -> Iterator[SumWord]:
+        yield from _sum_word_relations(w)
+        for start, end in combinations(range(len(w) + 1), 2):
+            if 1 < end - start < len(w):  # a letter's class is itself
+                for other in _sum_word_closure(w[start:end], classes):
+                    lifted = w[:start] + other + w[end:]
+                    if runs_apart(lifted):
+                        yield lifted
+
+    if word not in classes:
+        closure = _search(word, steps)
+        classes.update(dict.fromkeys(closure, closure))
+    return classes[word]
 
 
 CLOSURE_CAP = 12  # largest element size whose closure is searched
@@ -279,10 +255,9 @@ def rewrite_closure(class_id: ClassId, element) -> frozenset:
             f"element size {size_of(class_id, element)} above cap {CLOSURE_CAP}"
         )
     if class_id is ClassId.AV_312_231:
-        # part order and the 2 <-> 1,1 trade are unrestricted, so in-place
-        # substring rewriting already realizes the full congruence
+        # every rewrite of a composition is a composition: no lift is needed
         return _search(element, _composition_rewrites)
-    return _sum_word_closure(element)
+    return _sum_word_closure(element, {})
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ class PreconditionError(ValueError):
 
 
 class PoleError(ArithmeticError):
-    """A series quotient by a divisor that vanishes at t = 0."""
+    """A quotient with a pole at t = 0, which has no power series."""
 
 
 class CapExceededError(ValueError):

@@ -36,6 +36,27 @@ den(0) = 1, and both are reduced as written, with no gcd:
 Criterion 6's naive product form has b_i for M_i and needs only (a), as
 b_i > 0 for t > 0.  series.poly_gcd stays the oracle.
 
+The M_i are pairwise coprime, and M_i has i-1 = deg M_i simple roots in
+(-4, 0), so a c4 GF's numerator gives back its run letters.  For i >= 2,
+(1) at t = -4 cos^2 s, s in (0, pi/2), the Chebyshev identity gives
+    M_i = (-1)^(i-1) Im(z^i w)/sin s, z = e^(2is), w = e^(-is)(2 + 1/z) != 0;
+(2) arg(z^i w) rises from 0 to i pi - pi/2 with slope 2i - 1 -
+    2(1+2c)/(5+4c) >= 2i - 5/3, c = cos 2s, so it crosses each of pi, ...,
+    (i-1) pi once: i-1 simple roots, as t rises with s;
+(3) at a root shared with M_j, j > i, z^i w and z^j w are real, so z is a
+    root of unity, of order m say, and so is (1+2z)/(2+z) = z^(2-2i), hence
+    an algebraic integer (Kronecker, 1857, the converse: |1+2v| = |2+v| if
+    |v| = 1); as it is 2 - 3/(2+z), N(2+z) = +-Phi_m(-2) divides a power of 3;
+(4) |Phi_m(-2)| = Phi_k(2), k = 2m, m/2 or m as m is odd, 2 mod 4 or 0 mod 4,
+    has a prime factor p = 1 mod k unless k is 1 or 6 (Bang 1886, Zsigmondy
+    1892), and p = 3 only if k = 2; so m <= 3, and 0 < 2s < pi leaves t = -1;
+(5) but there M_i = (2+t) M_(i-1) - M_(i-2), M_0 = 1-t, cycles through 2, 1,
+    -1, -2, -1, 1, never 0.
+The proof rests on the Chebyshev identity and Bang-Zsigmondy; tests check
+finite cases only: the identity, |Phi_m(-2)| for m <= 200, the roots by a
+Sturm chain for i <= 40, M_i(-1) and coprimality for i <= 60.  That the
+M_i are irreducible is neither proved nor needed.
+
 L_n = t^n b_n(t) counts the sum words with longest increasing subsequence
 exactly n, where b_n(t) = sum_k C(n+k, 2k) t^k is the Morgan-Voyce
 polynomial; b_n = (2+t) b_(n-1) - b_(n-2) is the three-term recursion of

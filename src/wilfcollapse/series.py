@@ -218,9 +218,9 @@ def _coprime_mod_prime(f: Poly, g: Poly) -> bool:
 @dataclass(frozen=True)
 class RationalGF:
     """
-    Quotient of two integer polynomials with nonzero denominator constant
-    term, stored in the module docstring's reduced form: equal functions have
-    equal fields.
+    Quotient of two integer polynomials whose reduced denominator has a
+    nonzero constant term, stored in the module docstring's reduced form:
+    equal functions have equal fields.
 
     >>> print(RationalGF(Poly.of(0, 2), Poly.of(2, -2)))
     num = t; den = 1 - t
@@ -231,11 +231,12 @@ class RationalGF:
 
     def __post_init__(self):
         num, den = self.num, self.den
-        if den.coefficient(0) == 0:
-            raise ZeroDivisionError("denominator must have nonzero constant term")
         # a primitive factor divides out without changing the content (Gauss)
         g = ONE if _coprime_mod_prime(num, den) else poly_gcd(num, den)
-        sign = 1 if den.coeffs[0] * g.coeffs[0] > 0 else -1
+        low = next((k for k, c in enumerate(g.coeffs) if c), 0)  # den[low] = g[low] (den/g)(0)
+        if den.coefficient(low) == 0:
+            raise ZeroDivisionError("denominator must have nonzero constant term")
+        sign = 1 if den.coeffs[low] * g.coeffs[low] > 0 else -1
         g = g.scale(sign * math.gcd(*num.coeffs, *den.coeffs))
         object.__setattr__(self, "num", num.divmod(g)[0])
         object.__setattr__(self, "den", den.divmod(g)[0])
@@ -269,9 +270,10 @@ class RationalGF:
     def __truediv__(self, other: "RationalGF") -> "RationalGF":
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        if other.num.coefficient(0) == 0:
-            raise PoleError("divisor has a zero constant term; no series quotient")
-        return RationalGF(self.num * other.den, self.den * other.num)
+        try:
+            return RationalGF(self.num * other.den, self.den * other.num)
+        except ZeroDivisionError:
+            raise PoleError("the quotient has a pole at t = 0; no series quotient") from None
 
     def _peeled(self, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """

@@ -2,7 +2,9 @@ import pytest
 
 from wilfcollapse.canonical import (
     PartitionPair,
+    _composition_rewrites,
     _partitions,
+    _sum_word_relations,
     canonical_class_count,
     canonical_key,
     canonical_pair,
@@ -23,6 +25,7 @@ from wilfcollapse.canonical import (
 )
 from wilfcollapse.encodings import ClassId, avoiding_elements, generate, to_permutation
 from wilfcollapse.errors import CapExceededError, NotInvolvedError, PreconditionError
+from wilfcollapse.genfun import avoid_gf_layered, involve_gf_sum_word
 from wilfcollapse.perms import involves
 
 C3 = ClassId.AV_312_231
@@ -144,6 +147,25 @@ def test_closure_classes_equal_canonical_classes(cid, n):
     for members in groups.values():
         representative = sorted(members)[0]
         assert rewrite_closure(cid, representative) == frozenset(members)
+
+
+def test_every_rule_keeps_the_gf():
+    # the involvement GF is the class GF times one factor per letter, so a
+    # rule that keeps the GF of the word it rewrites keeps it in any context
+    letters = [-i for i in range(1, 30)] + list(range(2, 30))
+    words = [(x, y) for x in letters for y in letters if abs(x) + abs(y) <= 30 and (x > 0 or y > 0)]
+    words += [(-i, k, -j) for i in range(1, 13) for k in range(2, 13) for j in range(1, 13)]
+    rewrites = 0
+    for w in words:
+        for other in _sum_word_relations(w):
+            assert involve_gf_sum_word(other) == involve_gf_sum_word(w), (w, other)
+            rewrites += 1
+    comps = [(p,) for p in range(1, 31)] + [(p, q) for p in range(1, 30) for q in range(1, 31 - p)]
+    for c in comps:
+        for other in _composition_rewrites(c):
+            assert avoid_gf_layered(other) == avoid_gf_layered(c), (c, other)
+            rewrites += 1
+    assert rewrites == 3305
 
 
 # ---------------------------------------------------------------------------

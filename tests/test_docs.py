@@ -51,3 +51,37 @@ def test_readme_command_lines_run(line, capsys):
     assert program == "wilfcollapse"
     assert run(argv) == 0
     assert capsys.readouterr().out
+
+
+def _cached_functions() -> list[tuple[str, str]]:
+    # (module, name) of every function wrapped by functools.lru_cache or
+    # functools.cache, as a decorator or called as name = lru_cache(...)(f)
+    def is_cache(node) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in ("lru_cache", "cache")
+
+    found = []
+    for path in sorted(Path(engine.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(map(is_cache, node.decorator_list)):
+                found.append((path.stem, node.name))
+            elif (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and is_cache(node.value.func)
+            ):
+                found += [(path.stem, target.id) for target in node.targets]
+    return found
+
+
+def test_readme_caches_paragraph_names_every_cache():
+    paragraph = "Caches:" + README.read_text(encoding="utf-8").split("\nCaches:", 1)[1].split("\n\n", 1)[0]
+    cached = _cached_functions()
+    assert ("genfun", "_letter_denominator") in cached and ("cli", "_build_parser") in cached
+    missing = [
+        f"{module}.{name}"
+        for module, name in cached
+        if f"`{name}`" not in paragraph and f"`{module}.{name}`" not in paragraph
+    ]
+    assert not missing, missing

@@ -344,6 +344,52 @@ def test_run_numerators_pairwise_coprime_to_sixty():
         assert _coprime_mod_prime(m[i], m[j]), (i, j)
 
 
+def _power_of_three(n: int) -> bool:
+    while n % 3 == 0:
+        n //= 3
+    return n == 1
+
+
+def test_cyclotomic_values_at_minus_two_are_powers_of_three_only_to_three():
+    # step (4) of the coprimality proof, for m <= 200: Phi_m is t^m - 1 over
+    # every Phi_d for d a proper divisor of m, each division exact
+    phi = {}
+    for m in range(1, 201):
+        rest = Poly.monomial(m) - ONE
+        for d in range(1, m):
+            if m % d == 0:
+                rest, zero = rest.divmod(phi[d])
+                assert zero.is_zero(), (m, d)
+        phi[m] = rest
+    assert phi[6] == Poly.of(1, -1, 1)
+    assert [m for m in phi if _power_of_three(abs(phi[m].eval(-2)))] == [1, 2, 3]
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_run_numerators_have_their_roots_simple_and_in_minus_four_to_zero():
+    # step (2) of the coprimality proof, for i <= 40, by a Sturm chain: each
+    # pseudo-remainder is scaled by |lead|^(delta+1) and divided by its
+    # content, both positive, so every sign is that of the true remainder
+    for i in range(2, 41):
+        m = genfun._run_numerator(i)
+        chain = [m, Poly(tuple(k * c for k, c in enumerate(m.coeffs))[1:])]
+        while chain[-1].degree > 0:
+            a, b = chain[-2], chain[-1]
+            rem = a.scale(abs(b.coeffs[-1]) ** (a.degree - b.degree + 1)).divmod(b)[1]
+            if rem.is_zero():
+                break
+            content = math.gcd(*rem.coeffs)
+            chain.append(Poly(tuple(-c // content for c in rem.coeffs)))
+        assert chain[-1].degree == 0, i  # gcd(M_i, M_i') is a constant: squarefree
+        at = {x: [p.eval(x) for p in chain] for x in (-4, 0)}
+        assert at[-4][0] and at[0][0], i
+        assert _sign_changes(at[-4]) - _sign_changes(at[0]) == i - 1 == m.degree, i
+
+
 def test_built_gfs_are_not_kept_alive():
     # a pass over many patterns holds only the GFs its caller keeps
     builds = [

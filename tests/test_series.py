@@ -207,6 +207,24 @@ def test_division_errors():
         RationalGF.of(1) / RationalGF.of(0)
 
 
+def test_a_factor_t_that_cancels_leaves_no_pole():
+    # den(0) is tested after the common factor is divided out
+    t = Poly.of(0, 1)
+    x = RationalGF(t, Poly.of(1, -1))
+    assert x / x == RationalGF.of(1)
+    quotient = RationalGF(Poly.of(0, 0, 1), Poly.of(1, -1)) / RationalGF(t, Poly.of(1, -2))
+    assert quotient == RationalGF(t * Poly.of(1, -2), Poly.of(1, -1))
+    assert quotient.num == Poly.of(0, 1, -2) and quotient.den == Poly.of(1, -1)
+    assert RationalGF(t, t) == RationalGF.of(1)
+    assert RationalGF(t, -t).num == Poly.of(-1) and RationalGF(t, -t).den == ONE
+
+
+@given(small_polys, nonzero_at_0)
+def test_a_common_factor_t_divides_out(f, g):
+    t = Poly.of(0, 1)
+    assert RationalGF(f * t, g * t) == RationalGF(f, g)
+
+
 def test_expand_matches_division():
     # the expansion times the denominator agrees with the numerator below
     # the truncation order

@@ -70,6 +70,9 @@ class PartitionPair:
     a_parts: tuple[int, ...]
 
     def __post_init__(self):
+        for parts in (self.b_parts, self.a_parts):
+            if not (isinstance(parts, tuple) and all(isinstance(v, int) for v in parts)):
+                raise ValueError(f"parts must be tuples of integers: {parts!r}")
         if any(v < 2 for v in self.b_parts):
             raise ValueError("drop parts must be at least 2")
         if any(v < 1 for v in self.a_parts):

@@ -83,13 +83,10 @@ def class_gf(class_id: ClassId) -> RationalGF:
     return RationalGF._reduced(_ONE_MINUS_T, _ONE_MINUS_2T)
 
 
+@lru_cache(maxsize=None)
 def layered_denominator(a: int) -> Poly:
     """The polynomial 1 - t - t^2 - ... - t^(a-1)."""
     return Poly.of(1, *([-1] * (a - 1)))
-
-
-# D_j per letter; roots --family layered calls layered_denominator uncached
-_letter_denominator = lru_cache(maxsize=None)(layered_denominator)
 
 
 def avoid_gf_layered(pattern: Composition) -> RationalGF:
@@ -169,7 +166,7 @@ def _pattern_gf(letters: tuple[int, ...], run_numerator, avoid: bool = False) ->
     den = math.prod([_ONE_MINUS_T] * (len(letters) - 1), start=ONE)
     for letter in letters:
         if letter > 0:
-            den = den * _letter_denominator(letter)
+            den = den * layered_denominator(letter)
         else:
             num = num * run_numerator(-letter)
     if not avoid:
@@ -248,18 +245,21 @@ def _bisect(f, lo: float, hi: float) -> float:
 @lru_cache(maxsize=None)
 def layered_root(a: int) -> float:
     """
-    Least positive zero of 1 - t - ... - t^(a-1).  Exactly 1 for a = 2 and
+    Least positive zero of D_a = 1 - t - ... - t^(a-1).  Exactly 1 for a = 2,
     strictly decreasing toward 1/2 as a grows.  For a > 2, a float bisection
-    to 1e-12, cached per index and confirmed by an exact sign change: on
-    (0, 1) the polynomial has the sign of its product with 1-t, 1 - 2t + t^a,
-    which at p/2^k times 2^(ka) is 2^(ka) - 2p 2^(k(a-1)) + p^a.
+    to 1e-12 of (1-t) D_a = 1 - 2t + t^a, D_a's sign on (0, 1), cached per
+    index and confirmed by an exact sign change of the same product: at
+    p/2^k times 2^(ka), 2^(ka) - 2p 2^(k(a-1)) + p^a.  The bisection sums
+    (1-t) - t(1 - t^(a-1)) in that order: its float signs match Horner's
+    rule on D_a at every point visited (checked for a <= 6000), while
+    1 - 2t + t^a loses the small t^a and moves roots from a = 30 on.
     """
     if a < 2:
         raise PreconditionError("a must be at least 2")
     if a == 2:
         return 1.0
-    # Strictly decreasing on (0, 1], positive at 0 and negative at 1.
-    value = _bisect(layered_denominator(a).eval, 0.0, 1.0)
+    # Positive at 0, negative between the root and 1, and 0 at 1.
+    value = _bisect(lambda t: (1 - t) - t * (1 - t ** (a - 1)), 0.0, 1.0)
     lo, hi, k = _dyadic_bracket(value)
     lo_value, hi_value = ((1 << k * a) - (p << k * (a - 1) + 1) + p**a for p in (lo, hi))
     if not (lo_value > 0 > hi_value):
@@ -280,38 +280,37 @@ def _dyadic_bracket(root: float) -> tuple[int, int, int]:
     return (x - width) // d + 1, -((-x - width) // d) - 1, k
 
 
-def _changes_sign_around(poly: Poly, root: float) -> bool:
+def _lis_bracket_values(n: int, root: float) -> tuple[int, int]:
     """
-    Whether poly changes sign inside root * (1 +- 5e-7), decided exactly at
-    the two dyadic points p/2^k of _dyadic_bracket: Horner's rule scaled by
-    2^(k * degree), in integers only.  A sign change there proves a zero of
-    poly within root * (1 +- 5e-7).
+    2^(kn) b_n(p/2^k) at the two dyadic points p/2^k of _dyadic_bracket, in
+    integers only: b_n's three-term recurrence, each step scaled by 2^k.  A
+    sign change proves a zero of b_n within root * (1 +- 5e-7).
     """
     lo, hi, k = _dyadic_bracket(root)
     values = []
     for p in (lo, hi):
-        acc, shift = 0, 0
-        for c in reversed(poly.coeffs):
-            acc = acc * p + (c << shift)
-            shift += k
-        values.append(acc)
-    return (values[0] > 0 > values[1]) or (values[0] < 0 < values[1])
+        before, b = 1, (1 << k) + p  # b_0 = 1 and b_1 = 1 + t
+        for _ in range(n - 1):
+            before, b = b, ((2 << k) + p) * b - (before << 2 * k)
+        values.append(b)
+    return values[0], values[1]
 
 
 @lru_cache(maxsize=None)
 def lis_root(n: int) -> float:
     """
-    Greatest real zero of the reduced run-count polynomial of index n.
-    Exactly -1 for n = 1; in (-1/2, 0) and strictly increasing for n >= 2.
-    By the Chebyshev identity it is -4 sin^2(pi / (2(2n+1))), cached per
-    index and confirmed by an exact sign change around it.
+    Greatest real zero of b_n = reduced_lis_poly(n).  Exactly -1 for n = 1;
+    in (-1/2, 0) and strictly increasing for n >= 2.  By the Chebyshev
+    identity it is -4 sin^2(pi / (2(2n+1))), cached per index and confirmed
+    by an exact sign change around it, where b_n rises through 0.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
     if n == 1:
         return -1.0
     value = -4.0 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2
-    if not _changes_sign_around(reduced_lis_poly(n), value):
+    lo_value, hi_value = _lis_bracket_values(n, value)
+    if not (lo_value < 0 < hi_value):
         raise ArithmeticError(f"no sign change around the closed form for index {n}")
     return value
 

@@ -24,8 +24,9 @@ from wilfcollapse.canonical import (
     wedge_bijection,
 )
 from wilfcollapse.encodings import ClassId, avoiding_elements, generate, to_permutation
+from wilfcollapse.engine import canonical_groups
 from wilfcollapse.errors import CapExceededError, NotInvolvedError, PreconditionError
-from wilfcollapse.genfun import avoid_gf_layered, involve_gf_sum_word
+from wilfcollapse.genfun import avoid_gf, avoid_gf_layered, involve_gf_sum_word
 from wilfcollapse.perms import involves
 
 C3 = ClassId.AV_312_231
@@ -72,6 +73,11 @@ def test_pair_validation():
         PartitionPair((1,), ())
     with pytest.raises(ValueError):
         PartitionPair((2, 3), ())
+    # parts are tuples of ints, as validate_element requires of elements
+    with pytest.raises(ValueError):
+        PartitionPair((3.0, 2), (1.5,))
+    with pytest.raises(ValueError):
+        PartitionPair([3, 2], [])
 
 
 def test_serialization():
@@ -166,6 +172,22 @@ def test_every_rule_keeps_the_gf():
             assert avoid_gf_layered(other) == avoid_gf_layered(c), (c, other)
             rewrites += 1
     assert rewrites == 3305
+
+
+def test_gfs_group_patterns_as_canonical_forms_do():
+    # past the counting budget: the avoidance GF and the canonical form
+    # partition every c3 pattern of size <= 12 and c4 pattern of size <= 11
+    # into the same groups
+    classes = 0
+    for cid, top in ((C3, 12), (C4, 11)):
+        for n in range(top + 1):
+            by_gf = {}
+            for p in generate(cid, n):
+                by_gf.setdefault(avoid_gf(cid, p), set()).add(p)
+            groups = {frozenset(g) for g in canonical_groups(cid, n)}
+            assert {frozenset(g) for g in by_gf.values()} == groups, (cid, n)
+            classes += len(groups)
+    assert classes == 133 + 318
 
 
 # ---------------------------------------------------------------------------

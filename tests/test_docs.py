@@ -78,7 +78,7 @@ def _cached_functions() -> list[tuple[str, str]]:
 def test_readme_caches_paragraph_names_every_cache():
     paragraph = "Caches:" + README.read_text(encoding="utf-8").split("\nCaches:", 1)[1].split("\n\n", 1)[0]
     cached = _cached_functions()
-    assert ("genfun", "_letter_denominator") in cached and ("cli", "_build_parser") in cached
+    assert ("genfun", "layered_denominator") in cached and ("cli", "_build_parser") in cached
     missing = [
         f"{module}.{name}"
         for module, name in cached

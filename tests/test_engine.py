@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -214,3 +214,22 @@ def test_gf_crosscheck():
     with pytest.raises(ValueError):
         gf_crosscheck(C2, 3, 10)
 
+
+def test_cross_class_lemmas():
+    # c1 has 7 avoiders of size 4 for every pattern of size 5 to 8, the other
+    # classes 8, so c1's sequences stay apart from n = 5 on
+    for cid in ClassId:
+        for n in range(5, 9):
+            fours = {count_avoiders(cid, p, 4)[4] for p in generate(cid, n)}
+            assert fours == {7 if cid is C1 else 8}, (cid, n)
+    # every c2 pattern of size n is counted as the c3 pattern 1+...+1
+    for n in range(1, 9):
+        ones = count_avoiders(C3, (1,) * n, 16)
+        assert all(count_avoiders(C2, p, 16) == ones for p in generate(C2, n)), n
+    # and that pattern's GF is ((1-t)^n - t^n)/((1-2t)(1-t)^(n-1))
+    one_minus_t = RationalGF.of(Poly.of(1, -1))
+    for n in range(1, 31):
+        power = prod([one_minus_t] * (n - 1), start=RationalGF.of(1))
+        t_n = RationalGF.of(Poly.monomial(n))
+        expected = (power * one_minus_t - t_n) / (RationalGF.of(Poly.of(1, -2)) * power)
+        assert avoid_gf(C3, (1,) * n) == expected, n

@@ -683,12 +683,41 @@ def test_lis_certificate_matches_fraction_endpoints():
     for n in range(2, 201):
         poly = reduced_lis_poly(n)
         value = -4.0 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2
-        assert genfun._changes_sign_around(poly, value), n
+        lo_value, hi_value = genfun._lis_bracket_values(n, value)
+        assert lo_value < 0 < hi_value, n
         assert _fraction_endpoint_sign_change(poly, value), n
         # a value off by 2e-6 brackets no zero: the check is not vacuous
         off = value * (1 + 2e-6)
-        assert not genfun._changes_sign_around(poly, off), n
+        lo_value, hi_value = genfun._lis_bracket_values(n, off)
+        assert (lo_value > 0) == (hi_value > 0), n
         assert not _fraction_endpoint_sign_change(poly, off), n
+
+
+def _scaled_horner(poly, p, k):
+    # 2^(k * degree) poly(p/2^k), by Horner's rule in integers
+    acc = 0
+    for i, c in enumerate(reversed(poly.coeffs)):
+        acc = acc * p + (c << i * k)
+    return acc
+
+
+def test_lis_recurrence_matches_scaled_horner():
+    # the certificate's recurrence gives the integers of scaled Horner on
+    # the dense b_n, at the closed-form value and at one off by 2e-6
+    for n in range(2, 201):
+        poly = reduced_lis_poly(n)
+        for value in (lis_root(n), lis_root(n) * (1 + 2e-6)):
+            lo, hi, k = genfun._dyadic_bracket(value)
+            expected = (_scaled_horner(poly, lo, k), _scaled_horner(poly, hi, k))
+            assert genfun._lis_bracket_values(n, value) == expected, n
+
+
+def test_layered_root_is_the_horner_bisection():
+    # bisecting (1-t) - t(1 - t^(a-1)) gives the root Horner's rule on the
+    # dense D_a gives, bit for bit
+    for a in range(3, 2001):
+        dense = Poly.of(1, *([-1] * (a - 1)))
+        assert layered_root(a) == genfun._bisect(dense.eval, 0.0, 1.0), a
 
 
 def test_layered_check_rejects_a_wrong_value(monkeypatch):

@@ -35,7 +35,7 @@ from .encodings import (
     size_of,
     validate_element,
 )
-from .errors import CapExceededError, NotInvolvedError, PreconditionError
+from .errors import NotInvolvedError, PreconditionError
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +241,19 @@ def _sum_word_closure(word: SumWord, classes: dict[SumWord, frozenset]) -> froze
     return classes[word]
 
 
-CLOSURE_CAP = 12  # largest element size whose closure is searched
-
-
 def rewrite_closure(class_id: ClassId, element) -> frozenset:
     """
     The full equivalence class of an element under the defining rewrite
     rules, including contextual lifts of subword equivalences.  A validation
-    oracle for elements of size at most CLOSURE_CAP.
+    oracle, for elements of any size, whose cost grows about threefold per
+    size in c4: the slowest closure of a size-12 element took 0.06 s, and
+    that of the size-16 (-2, 2, -1, 2, -1, 2, -1, 2, 3), 552 members, 2.1 s
+    (Python 3.11, one process).  c3's grow more slowly: the slowest of size
+    13, 744 members, took 0.01 s.
     """
     if class_id not in (ClassId.AV_312_231, ClassId.AV_312_321):
         raise PreconditionError("rewrite closure applies to c3 and c4 only")
     validate_element(class_id, element)
-    if size_of(class_id, element) > CLOSURE_CAP:
-        raise CapExceededError(
-            f"element size {size_of(class_id, element)} above cap {CLOSURE_CAP}"
-        )
     if class_id is ClassId.AV_312_231:
         # every rewrite of a composition is a composition: no lift is needed
         return _search(element, _composition_rewrites)

@@ -27,8 +27,6 @@ from .canonical import (
 )
 from .encodings import ClassId, format_function, member_texts, parse_element
 from .engine import (
-    MAX_DEPTH,
-    MAX_PATTERN_SIZE,
     CollapseRow,
     collapse_row,
     collapse_rows,
@@ -41,6 +39,10 @@ from .errors import GFMismatchError, ParseError
 from .genfun import avoid_gf, layered_root, lis_root
 
 MAX_ENUMERATE_SIZE = 18  # bounds the 2^(n-1) rows enumerate prints; it counts nothing
+# bound the 2^(n-1) patterns classify, verify and report list, and the depth
+# of the counting dynamic program; the library itself takes any size and depth
+MAX_PATTERN_SIZE = 8
+MAX_DEPTH = 18
 
 
 def _int_in(low: int, high: int | None = None):

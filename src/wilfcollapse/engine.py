@@ -18,6 +18,21 @@ order test leaves a number of avoiders per size that is a binomial or two
 Enumerating ``generate`` with ``class_leq`` (``encodings.avoiding_elements``)
 remains the oracle the tests compare all four classes' counts against.
 
+Counting to depth D(n) = 2n - 2 (c3) or 3n - 3 (c4) proves a Wilf class.  In
+``genfun``'s factored form a c3 or c4 pattern of size n >= 2 with k letters
+has the avoidance GF ((1-t) den - num)/(1-2t) over den, where den is
+(1-t)^(k-1) times D_j, of degree j - 1, per layer or drop letter j; since
+each of the other letters, the run letters, adds 1 to k and at least 1 to
+n, den has degree at most n - 1.  (1-t) den has degree at most n, and num is
+t^n times M_i, of degree i - 1, per run letter a_i, so of degree n in c3 and
+at most 2n - 1 in c4; dividing by 1-2t leaves a numerator of degree at most
+n - 1 in c3 and 2n - 2 in c4.  Two such GFs p1/q1 and p2/q2, q(0) = 1,
+differ by (p1 q2 - p2 q1)/(q1 q2), and that numerator has degree at most
+D(n); if the counts agree through index D(n), its first D(n) + 1
+coefficients vanish, so it is 0 and the GFs are equal.  A depth below D(n)
+may merge Wilf classes; ``verify_completeness`` then reports the canonical
+classes it leaves unseparated.
+
 Everything here is a deterministic reduction over immutable inputs, with a
 cache keyed by (class, pattern, depth) so repeated verifications are free.
 Results are returned as data; the command-line front end renders them.
@@ -40,11 +55,8 @@ from .encodings import (
     size_of,
     validate_element,
 )
-from .errors import BudgetExceededError, GFMismatchError
+from .errors import GFMismatchError
 from .genfun import avoid_gf
-
-MAX_DEPTH = 18
-MAX_PATTERN_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -65,17 +77,6 @@ class CollapseRow(NamedTuple):
     c_n: int
     w_n: int
     canonical_count: int
-
-
-def _check_budget(n: int | None, depth: int | None) -> None:
-    if depth is not None and depth < 0:
-        raise ValueError(f"depth {depth} is negative")
-    if depth is not None and depth > MAX_DEPTH:
-        raise BudgetExceededError(f"depth {depth} above budget {MAX_DEPTH}")
-    if n is not None and n > MAX_PATTERN_SIZE:
-        raise BudgetExceededError(
-            f"pattern size {n} above budget {MAX_PATTERN_SIZE}"
-        )
 
 
 def _scan_counts(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[int, ...]:
@@ -153,7 +154,8 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
     >>> count_avoiders(ClassId.AV_312_213, "", 3)
     (1, 0, 0, 0)
     """
-    _check_budget(None, depth)
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     validate_element(class_id, pattern)
     if class_id is ClassId.AV_312_123:
         counts = _triple_counts(pattern, depth)
@@ -179,7 +181,6 @@ def _partition(patterns, key) -> tuple[tuple, ...]:
 
 def wilf_classes(class_id: ClassId, n: int, depth: int) -> tuple[WilfGroup, ...]:
     """Group the size-n patterns by equality of their counting sequences."""
-    _check_budget(n, depth)
     return tuple(
         WilfGroup(members, counts)
         for counts, members in _partition(
@@ -208,7 +209,6 @@ def verify_soundness(class_id: ClassId, n: int, depth: int) -> tuple[PairFinding
     Patterns with equal canonical form must have equal counting sequences to
     the given depth; each violating pair is returned, none when sound.
     """
-    _check_budget(n, depth)
     violations = []
     for members in canonical_groups(class_id, n):
         base = count_avoiders(class_id, members[0], depth)
@@ -226,7 +226,6 @@ def verify_completeness(class_id: ClassId, n: int, depth: int) -> tuple[PairFind
     equal at the depth, listed group by group, are returned as unseparated,
     demanding a larger depth; none when complete.
     """
-    _check_budget(n, depth)
     tied = _partition(
         (members[0] for members in canonical_groups(class_id, n)),
         lambda p: count_avoiders(class_id, p, depth),
@@ -250,7 +249,6 @@ def collapse_row(class_id: ClassId, n: int, groups: tuple[WilfGroup, ...]) -> Co
 
 def collapse_rows(class_id: ClassId, n_max: int, depth: int) -> tuple[CollapseRow, ...]:
     """The collapse table: class size, Wilf-class count, canonical count."""
-    _check_budget(n_max, depth)
     return tuple(
         collapse_row(class_id, n, wilf_classes(class_id, n, depth))
         for n in range(1, n_max + 1)
@@ -264,7 +262,6 @@ def gf_crosscheck(class_id: ClassId, n: int, depth: int) -> int:
     equality.  Returns the number of patterns checked; raises
     GFMismatchError on the first disagreement.
     """
-    _check_budget(n, depth)
     checked = 0
     for pattern in generate(class_id, n):
         expansion = avoid_gf(class_id, pattern).expand(depth).integers()

@@ -29,14 +29,6 @@ class PoleError(ArithmeticError):
     """A quotient with a pole at t = 0, which has no power series."""
 
 
-class CapExceededError(ValueError):
-    """Input size above the size cap of an exhaustive search."""
-
-
-class BudgetExceededError(ValueError):
-    """Requested size or depth above the counting budget."""
-
-
 class NotInvolvedError(ValueError):
     """A factorization was requested for a word that does not involve the pattern."""
 

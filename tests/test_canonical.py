@@ -25,7 +25,7 @@ from wilfcollapse.canonical import (
 )
 from wilfcollapse.encodings import ClassId, avoiding_elements, generate, to_permutation
 from wilfcollapse.engine import canonical_groups
-from wilfcollapse.errors import CapExceededError, NotInvolvedError, PreconditionError
+from wilfcollapse.errors import NotInvolvedError, PreconditionError
 from wilfcollapse.genfun import avoid_gf, avoid_gf_layered, involve_gf_sum_word
 from wilfcollapse.perms import involves
 
@@ -136,14 +136,12 @@ def test_rewrite_closure_examples():
     closure = rewrite_closure(C4, (2, 3))
     assert (-1, 3, -1) in closure
     assert (3, 2) in closure
-    with pytest.raises(CapExceededError):
-        rewrite_closure(C3, tuple([1] * 13))
     with pytest.raises(PreconditionError):
         rewrite_closure(ClassId.AV_312_213, "LL")
 
 
 @pytest.mark.parametrize("cid", [C3, C4])
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_closure_classes_equal_canonical_classes(cid, n):
     # one breadth-first closure per equivalence class: the closure of any
     # representative must be exactly the set sharing its canonical form

@@ -85,3 +85,38 @@ def test_readme_caches_paragraph_names_every_cache():
         if f"`{name}`" not in paragraph and f"`{module}.{name}`" not in paragraph
     ]
     assert not missing, missing
+
+
+def _size_limits() -> list[tuple[str, str, int]]:
+    # (module, name, value) of every module-level integer constant named
+    # MAX_* or *_CAP in the package
+    found = []
+    for path in sorted(Path(engine.__file__).resolve().parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int
+            ):
+                found += [
+                    (path.stem, target.id, node.value.value)
+                    for target in node.targets
+                    if isinstance(target, ast.Name)
+                    and (target.id.startswith("MAX_") or target.id.endswith("_CAP"))
+                ]
+    return found
+
+
+def test_size_limits_live_in_the_cli_and_the_readme():
+    # each size limit is a CLI flag's range, stated once in cli and in README
+    text = README.read_text(encoding="utf-8")
+    limits = _size_limits()
+    names = {name for module, name, _ in limits if module == "cli"}
+    assert names >= {"MAX_PATTERN_SIZE", "MAX_DEPTH", "MAX_ENUMERATE_SIZE"}
+    assert [(module, name) for module, name, _ in limits if module != "cli"] == []
+    missing = [
+        f"cli.{name} = {value}"
+        for _, name, value in limits
+        if f"`cli.{name} = {value}`" not in text
+    ]
+    assert not missing, missing

@@ -20,7 +20,6 @@ from wilfcollapse.engine import (
     verify_soundness,
     wilf_classes,
 )
-from wilfcollapse.errors import BudgetExceededError
 from wilfcollapse.genfun import avoid_gf
 from wilfcollapse.perms import involves
 from wilfcollapse.series import Poly, RationalGF
@@ -44,14 +43,45 @@ def test_count_avoiders_examples():
 
 
 def test_count_avoiders_budget():
-    with pytest.raises(BudgetExceededError):
-        count_avoiders(C3, (2,), 19)
-    with pytest.raises(BudgetExceededError):
-        wilf_classes(C3, 9, 10)
-    with pytest.raises(ValueError, match="depth -1"):
+    # the one check on the depth is count_avoiders', which the others reach
+    with pytest.raises(ValueError, match="depth -1 is negative"):
         count_avoiders(C3, (1,), -1)
-    with pytest.raises(ValueError, match="depth -1"):
-        wilf_classes(C3, 3, -1)
+    for check in (wilf_classes, verify_soundness, verify_completeness, collapse_rows):
+        with pytest.raises(ValueError, match="depth -1 is negative"):
+            check(C3, 3, -1)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        gf_crosscheck(C3, 3, -1)
+
+
+def proving_depth(cid, n):
+    # D(n) of the engine docstring, and past n so that the depth separates
+    return max(2 * n - 2 if cid is C3 else 3 * n - 3, n + 1)
+
+
+@pytest.mark.parametrize("cid, n_max", [(C3, 12), (C4, 10)])
+def test_wilf_classes_past_the_cli_limits(cid, n_max):
+    # the library takes sizes and depths above the CLI's flag ranges; at
+    # depth D(n) the Wilf classes are the canonical classes
+    for n in range(1, n_max + 1):
+        depth = proving_depth(cid, n)
+        brute = [g.members for g in wilf_classes(cid, n, depth)]
+        assert brute == list(canonical_groups(cid, n)), (cid, n)
+        assert verify_soundness(cid, n, depth) == ()
+        assert verify_completeness(cid, n, depth) == ()
+    assert gf_crosscheck(cid, n_max, proving_depth(cid, n_max)) == 2 ** (n_max - 1)
+    assert count_avoiders(C4, (-2, 3), 40) == avoid_gf(C4, (-2, 3)).expand(40).integers()
+
+
+def test_gf_degrees_within_the_lemma():
+    # the engine docstring's degree bounds, which make depth D(n) a proof;
+    # from size 3 on some pattern reaches each of them
+    for n in range(2, 13):
+        for cid, num_bound in ((C3, n - 1), (C4, 2 * n - 2)):
+            gfs = [avoid_gf(cid, pattern) for pattern in generate(cid, n)]
+            num_degree = max(gf.num.degree for gf in gfs)
+            den_degree = max(gf.den.degree for gf in gfs)
+            assert num_degree <= num_bound and den_degree <= n - 1, (cid, n)
+            assert (num_degree, den_degree) == (num_bound, n - 1) or n == 2, (cid, n)
 
 
 def generic_counts(cid, pattern, depth):

@@ -8,7 +8,9 @@ unless --out is given; diagnostics go to stderr.  Exit codes: 0 success,
 
 A flat key=value file passed with --config supplies defaults that explicit
 flags override, for scripted runs.  The argument parsers are built on the
-first run and shared by every later run in the process.
+first run and shared by every later run in the process; ``run`` hands an op
+that starts with a command word to that command's parser, so each such op
+takes one argparse pass.
 """
 from __future__ import annotations
 
@@ -70,11 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command word -> its parser, for _parse
 
-    def add_common(p, handler, *, with_format, classes=("c1", "c2", "c3", "c4"), max_n=None,
-                   with_depth=False):
+    def add_command(name, help, handler, *, with_format, classes=("c1", "c2", "c3", "c4"),
+                    max_n=None, with_depth=False):
+        p = sub.add_parser(name, help=help)
         # checks after parsing report their usage errors through this parser
-        p.set_defaults(parser=p, handler=handler)
+        p.set_defaults(command=name, parser=p, handler=handler)
         p.add_argument("--config", help="flat key=value file of option defaults")
         if with_format:
             p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -85,35 +89,33 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=_int_in(0, max_n), required=True)
         if with_depth:
             p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=16)
+        return p
 
-    p = sub.add_parser("enumerate", help="list all class members of one size")
-    add_common(p, _cmd_enumerate, with_format=True, max_n=MAX_ENUMERATE_SIZE)
+    add_command("enumerate", "list all class members of one size", _cmd_enumerate,
+                with_format=True, max_n=MAX_ENUMERATE_SIZE)
+    add_command("classify", "group size-n patterns by their avoider counting sequences",
+                _cmd_classify, with_format=True, max_n=MAX_PATTERN_SIZE, with_depth=True)
 
-    p = sub.add_parser("classify",
-                       help="group size-n patterns by their avoider counting sequences")
-    add_common(p, _cmd_classify, with_format=True, max_n=MAX_PATTERN_SIZE, with_depth=True)
-
-    p = sub.add_parser("canon", help="canonical form of a layered or sum-word pattern")
-    add_common(p, _cmd_canon, with_format=False, classes=("c3", "c4"))
+    p = add_command("canon", "canonical form of a layered or sum-word pattern", _cmd_canon,
+                    with_format=False, classes=("c3", "c4"))
     p.add_argument("--element", required=True)
 
-    p = sub.add_parser("gf", help="avoidance generating function of a pattern")
-    add_common(p, _cmd_gf, with_format=False, classes=("c3", "c4"))
+    p = add_command("gf", "avoidance generating function of a pattern", _cmd_gf,
+                    with_format=False, classes=("c3", "c4"))
     p.add_argument("--pattern", required=True)
     p.add_argument("--expand", type=_int_in(0), default=None, metavar="N",
                    help="also print series coefficients up to order N")
 
-    p = sub.add_parser("roots", help="table of separating real roots")
-    add_common(p, _cmd_roots, with_format=True, classes=())
+    p = add_command("roots", "table of separating real roots", _cmd_roots,
+                    with_format=True, classes=())
     p.add_argument("--family", choices=["q", "layered"], required=True)
     p.add_argument("--max-n", type=_int_in(1), required=True)
 
-    p = sub.add_parser("verify",
-                       help="check the canonical grouping against avoider counts")
-    add_common(p, _cmd_verify, with_format=False, max_n=MAX_PATTERN_SIZE, with_depth=True)
+    add_command("verify", "check the canonical grouping against avoider counts", _cmd_verify,
+                with_format=False, max_n=MAX_PATTERN_SIZE, with_depth=True)
 
-    p = sub.add_parser("report", help="collapse table n, c_n, w_n, canonical count")
-    add_common(p, _cmd_report, with_format=True, with_depth=True)
+    p = add_command("report", "collapse table n, c_n, w_n, canonical count", _cmd_report,
+                    with_format=True, with_depth=True)
     p.add_argument("--max-n", type=_int_in(1, MAX_PATTERN_SIZE), required=True)
 
     return parser
@@ -136,6 +138,25 @@ def _check_size_and_depth(args) -> None:
     flag, size = ("--max-n", args.max_n) if args.command == "report" else ("--n", args.n)
     if size >= 2 and args.depth <= size:
         parser.error(f"--depth {args.depth} must exceed {flag} {size} to separate patterns")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """
+    One argparse pass per op.  An op that starts with a command word goes
+    straight to that command's parser: the top-level parser's own pass would
+    only pick the word and hand the rest over.  Leftover tokens are reported
+    through the top-level parser, with its usage line, as its parse_args
+    reports them.  Any other op (none, -h, an unknown word, a leading "--")
+    goes through the top-level parser.
+    """
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 @functools.cache
@@ -215,8 +236,22 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _note_unproved(class_id: ClassId, n: int, depth: int) -> None:
+    """
+    Counts of c3 or c4 patterns of size n equal through D(n) = 2n - 2 or
+    3n - 3 prove a Wilf class (the degree lemma of the engine docstring);
+    below D(n) w_n may merge classes, and a note on stderr says so.
+    """
+    if class_id in (ClassId.AV_312_231, ClassId.AV_312_321):
+        proving = (2 if class_id is ClassId.AV_312_231 else 3) * (n - 1)
+        if depth < proving:
+            print(f"note: --depth {depth} is below D({n}) = {proving}, the depth that "
+                  f"proves Wilf classes of size {n}; w_n may merge classes", file=sys.stderr)
+
+
 def _cmd_classify(args) -> int:
     class_id = args.class_id
+    _note_unproved(class_id, args.n, args.depth)
     groups = wilf_classes(class_id, args.n, args.depth)
     row = collapse_row(class_id, args.n, groups)
     if args.format == "json":
@@ -315,6 +350,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _note_unproved(args.class_id, args.max_n, args.depth)
     rows = collapse_rows(args.class_id, args.max_n, args.depth)
     if args.format == "json":
         _emit(json.dumps([r._asdict() for r in rows], indent=2) + "\n", args.out)
@@ -330,7 +366,7 @@ def run(argv: list[str]) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         _check_size_and_depth(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -133,6 +133,12 @@ def _triple_counts(pattern: Triple, depth: int) -> tuple[int, ...]:
     )
 
 
+def _check_depth(depth: int) -> None:
+    """Reject a negative depth; every function here that takes one reaches this."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
+
+
 @lru_cache(maxsize=None)
 def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tuple[int, ...]:
     """
@@ -154,8 +160,7 @@ def count_avoiders(class_id: ClassId, pattern: ClassElement, depth: int) -> tupl
     >>> count_avoiders(ClassId.AV_312_213, "", 3)
     (1, 0, 0, 0)
     """
-    if depth < 0:
-        raise ValueError(f"depth {depth} is negative")
+    _check_depth(depth)
     validate_element(class_id, pattern)
     if class_id is ClassId.AV_312_123:
         counts = _triple_counts(pattern, depth)
@@ -249,6 +254,7 @@ def collapse_row(class_id: ClassId, n: int, groups: tuple[WilfGroup, ...]) -> Co
 
 def collapse_rows(class_id: ClassId, n_max: int, depth: int) -> tuple[CollapseRow, ...]:
     """The collapse table: class size, Wilf-class count, canonical count."""
+    _check_depth(depth)
     return tuple(
         collapse_row(class_id, n, wilf_classes(class_id, n, depth))
         for n in range(1, n_max + 1)
@@ -262,6 +268,7 @@ def gf_crosscheck(class_id: ClassId, n: int, depth: int) -> int:
     equality.  Returns the number of patterns checked; raises
     GFMismatchError on the first disagreement.
     """
+    _check_depth(depth)
     checked = 0
     for pattern in generate(class_id, n):
         expansion = avoid_gf(class_id, pattern).expand(depth).integers()

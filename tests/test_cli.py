@@ -624,3 +624,104 @@ def test_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys, columns):
     reused = [outcome(argv, False) for argv in ops * 2]
     assert reused == fresh
     assert [code for code, _, _ in fresh[: len(ops)]] == [0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 2]
+
+
+def parse_outcome(parse, argv, capsys):
+    """What a parse gives: the namespace's vars, or the exit code and output of its exit."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return (exc.code, *capture(capsys))
+
+
+COMMAND_SPELLINGS = {
+    "enumerate": [["--class", "c2", "--n=5"], ["--cl", "c1", "--n", "3", "--format=json"]],
+    "classify": [["--class", "c3", "--n=4", "--depth", "12"],
+                 ["--cl", "c3", "--n", "4", "--format=json", "--depth", "9", "--depth", "12"]],
+    "canon": [["--class", "c4", "--element", "a1 b3 a1"], ["--cl", "c3", "--element=-1"]],
+    "gf": [["--class", "c4", "--pattern", "-1"], ["--class", "c3", "--pattern=-2+1"],
+           ["--cl", "c3", "--pattern", "2", "--expand=6", "--expand", "4"]],
+    "roots": [["--family", "q", "--max-n=3"], ["--fam", "layered", "--max-n", "4",
+                                              "--format=json", "--format", "csv"]],
+    "verify": [["--class", "c4", "--n=3", "--depth", "10"], ["--cl", "c1", "--n", "2", "--n", "3"]],
+    "report": [["--class", "c3", "--max-n=4", "--depth", "10"],
+               ["--cl", "c4", "--max-n", "3", "--format=json", "--depth", "11"]],
+}
+# defaults from --config that the first spelling's flags override
+CONFIG_DEFAULTS = {
+    "enumerate": "class=c4\nn=2\nformat=json\n",
+    "classify": "class=c2\nn=2\ndepth=11\nformat=json\n",
+    "canon": "class=c3\nelement=2\n",
+    "gf": "class=c3\npattern=2\nexpand=3\n",
+    "roots": "family=layered\nmax-n=2\nformat=json\n",
+    "verify": "class=c1\nn=2\ndepth=11\n",
+    "report": "class=c2\nmax-n=2\ndepth=11\nformat=json\n",
+}
+# each spelling and the same through --config parse; the command's parser
+# reports a missing flag and help, the top-level parser leftover tokens
+PARSE_CASES = [
+    ([command, *tail], parses)
+    for command, spellings in COMMAND_SPELLINGS.items()
+    for tail, parses in [
+        *[(spelled, True) for spelled in spellings],
+        (["--config", "CONFIG", *spellings[0]], True),
+        ([], False),
+        (["-h"], False),
+        ([*spellings[0], "--tol", "3"], False),
+        ([*spellings[0], "x"], False),
+        ([*spellings[0], "--", "x"], False),
+    ]
+]
+
+
+@pytest.mark.parametrize("argv, parses", PARSE_CASES, ids=[" ".join(a) for a, _ in PARSE_CASES])
+def test_parse_matches_the_top_level_parser(argv, parses, tmp_path, monkeypatch, capsys):
+    # an op that starts with a command word is parsed by that command's parser
+    # alone, to the namespace, usage error or help the top-level parser gives
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "run.conf"
+    config.write_text(CONFIG_DEFAULTS[argv[0]])
+    argv = cli._apply_config([str(config) if tok == "CONFIG" else tok for tok in argv])
+    top_level = parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    assert parse_outcome(cli._parse, argv, capsys) == top_level
+    assert isinstance(top_level, dict) is parses, top_level
+    if parses:
+        assert top_level["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"],
+                                  ["--", "gf", "--class", "c3", "--pattern", "2"]])
+def test_ops_without_a_command_word_keep_the_top_level_parse(argv, capsys):
+    expected = parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    code = run(argv)
+    out, err = capture(capsys)
+    if isinstance(expected, dict):  # a Python whose argparse drops a leading "--"
+        assert code == 0 and out, err
+    else:
+        assert code == expected[0]
+        assert (out or err).splitlines()[0] == (expected[1] or expected[2]).splitlines()[0]
+
+
+def test_depth_below_the_proving_depth_is_noted(capsys):
+    # c4's D(8) = 21 exceeds MAX_DEPTH; the row is unchanged, one note names D(n)
+    assert run(["classify", "--class", "c4", "--n", "8", "--depth", "10"]) == 0
+    out, err = capture(capsys)
+    assert out == "n,c_n,w_n,canonical_count\n8,128,32,33\n"
+    assert err.startswith("note: --depth 10 is below D(8) = 21,") and err.count("\n") == 1
+    assert run(["report", "--class", "c3", "--max-n", "6", "--depth", "9"]) == 0
+    assert capture(capsys)[1].startswith("note: --depth 9 is below D(6) = 10,")
+    for argv in (["classify", "--class", "c4", "--n", "6", "--depth", "15"],
+                 ["classify", "--class", "c3", "--n", "8", "--depth", "14"],
+                 ["report", "--class", "c4", "--max-n", "5", "--depth", "12"],
+                 ["classify", "--class", "c2", "--n", "8", "--depth", "10"]):
+        assert run(argv) == 0
+        assert capture(capsys)[1] == "", argv
+
+
+def test_an_op_with_a_command_word_skips_the_top_level_pass(monkeypatch, capsys):
+    def top_level_pass(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed an op with a command word")
+
+    monkeypatch.setattr(cli._build_parser(), "parse_known_args", top_level_pass)
+    assert run(["gf", "--class", "c3", "--pattern", "2+1"]) == 0
+    assert capture(capsys)[0].startswith("num = ")

@@ -43,14 +43,16 @@ def test_count_avoiders_examples():
 
 
 def test_count_avoiders_budget():
-    # the one check on the depth is count_avoiders', which the others reach
+    # one depth check, engine._check_depth, which every entry point reaches
     with pytest.raises(ValueError, match="depth -1 is negative"):
         count_avoiders(C3, (1,), -1)
-    for check in (wilf_classes, verify_soundness, verify_completeness, collapse_rows):
+    for check in (wilf_classes, verify_soundness, verify_completeness, collapse_rows,
+                  gf_crosscheck):
         with pytest.raises(ValueError, match="depth -1 is negative"):
             check(C3, 3, -1)
-    with pytest.raises(ValueError, match="order must be non-negative"):
-        gf_crosscheck(C3, 3, -1)
+    # a table of no rows still rules on its depth
+    with pytest.raises(ValueError, match="depth -1 is negative"):
+        collapse_rows(C3, 0, -1)
 
 
 def proving_depth(cid, n):

@@ -4,7 +4,8 @@ generating functions, roots, and verification as reproducible batch runs.
 
 Identical invocations produce byte-identical output.  Results go to stdout
 unless --out is given; diagnostics go to stderr.  Exit codes: 0 success,
-1 verification failure or data error, 2 usage error.
+1 verification failure or data error, 2 usage error.  An omitted --depth
+is the least that proves the Wilf classes of the pattern size asked for.
 
 A flat key=value file passed with --config supplies defaults that explicit
 flags override, for scripted runs.  The argument parsers are built on the
@@ -33,6 +34,7 @@ from .engine import (
     collapse_row,
     collapse_rows,
     gf_crosscheck,
+    proving_depth,
     verify_completeness,
     verify_soundness,
     wilf_classes,
@@ -41,10 +43,10 @@ from .errors import GFMismatchError, ParseError
 from .genfun import avoid_gf, layered_root, lis_root
 
 MAX_ENUMERATE_SIZE = 18  # bounds the 2^(n-1) rows enumerate prints; it counts nothing
-# bound the 2^(n-1) patterns classify, verify and report list, and the depth
-# of the counting dynamic program; the library itself takes any size and depth
+# the library takes any size and depth; classify, verify and report list 2^(n-1)
+# patterns and count to MAX_DEPTH, c4's proving depth at MAX_PATTERN_SIZE
 MAX_PATTERN_SIZE = 8
-MAX_DEPTH = 18
+MAX_DEPTH = 21
 
 
 def _int_in(low: int, high: int | None = None):
@@ -88,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if max_n is not None:
             p.add_argument("--n", type=_int_in(0, max_n), required=True)
         if with_depth:
-            p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=16)
+            p.add_argument("--depth", type=_int_in(0, MAX_DEPTH),
+                           help="default: the least depth that proves Wilf classes")
         return p
 
     add_command("enumerate", "list all class members of one size", _cmd_enumerate,
@@ -123,21 +126,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_size_and_depth(args) -> None:
     """
-    The two rules that read two flags; each flag's own range is checked by
-    its argparse type as it is parsed.  Reject a layered root table that
-    stops before its first index 2, and a --depth that cannot separate
-    patterns of the given size n: every member below size n avoids a size-n
-    pattern and at size n all but the pattern itself do, so to depth n all
-    size-n patterns share their counts.
+    The rules that read two flags; each flag's own range is checked by its
+    argparse type as it is parsed.  Reject a layered root table that stops
+    before its first index 2, and a --depth that cannot separate patterns of
+    size n: to depth n all size-n patterns share their counts, as every member
+    below size n avoids them and at size n all but the pattern itself do.  An
+    omitted --depth is ``engine.proving_depth`` of n; below that w_n may merge
+    Wilf classes, and classify and report say so in a note on stderr.
     """
     parser = args.parser
     if args.command == "roots" and args.family == "layered" and args.max_n < 2:
         parser.error(f"--max-n {args.max_n} below 2, the first layered index")
-    if getattr(args, "depth", None) is None:
+    if "depth" not in args:
         return
     flag, size = ("--max-n", args.max_n) if args.command == "report" else ("--n", args.n)
+    proving = proving_depth(args.class_id, size)
+    if args.depth is None:
+        args.depth = proving
     if size >= 2 and args.depth <= size:
         parser.error(f"--depth {args.depth} must exceed {flag} {size} to separate patterns")
+    if args.depth < proving and args.command != "verify":  # verify reports the merge
+        print(f"note: --depth {args.depth} is below D({size}) = {proving}, the depth that "
+              f"proves Wilf classes of size {size}; w_n may merge classes", file=sys.stderr)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -236,22 +246,8 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _note_unproved(class_id: ClassId, n: int, depth: int) -> None:
-    """
-    Counts of c3 or c4 patterns of size n equal through D(n) = 2n - 2 or
-    3n - 3 prove a Wilf class (the degree lemma of the engine docstring);
-    below D(n) w_n may merge classes, and a note on stderr says so.
-    """
-    if class_id in (ClassId.AV_312_231, ClassId.AV_312_321):
-        proving = (2 if class_id is ClassId.AV_312_231 else 3) * (n - 1)
-        if depth < proving:
-            print(f"note: --depth {depth} is below D({n}) = {proving}, the depth that "
-                  f"proves Wilf classes of size {n}; w_n may merge classes", file=sys.stderr)
-
-
 def _cmd_classify(args) -> int:
     class_id = args.class_id
-    _note_unproved(class_id, args.n, args.depth)
     groups = wilf_classes(class_id, args.n, args.depth)
     row = collapse_row(class_id, args.n, groups)
     if args.format == "json":
@@ -350,7 +346,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _note_unproved(args.class_id, args.max_n, args.depth)
     rows = collapse_rows(args.class_id, args.max_n, args.depth)
     if args.format == "json":
         _emit(json.dumps([r._asdict() for r in rows], indent=2) + "\n", args.out)
@@ -367,11 +362,11 @@ def run(argv: list[str]) -> int:
         return 2
     try:
         args = _parse(argv)
+        if "class_id" in args:
+            args.class_id = ClassId(args.class_id)
         _check_size_and_depth(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if "class_id" in args:
-        args.class_id = ClassId(args.class_id)
     try:
         return args.handler(args)
     except OSError as exc:

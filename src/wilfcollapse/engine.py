@@ -31,7 +31,10 @@ differ by (p1 q2 - p2 q1)/(q1 q2), and that numerator has degree at most
 D(n); if the counts agree through index D(n), its first D(n) + 1
 coefficients vanish, so it is 0 and the GFs are equal.  A depth below D(n)
 may merge Wilf classes; ``verify_completeness`` then reports the canonical
-classes it leaves unseparated.
+classes it leaves unseparated.  In c1 and c2 depth n + 1 proves: a binary
+word avoids a fixed subsequence of k letters in sum_(i<k) C(m, i) ways, so all
+c2 patterns of size n share their counts, as do c1's corner patterns, which the
+decreasing one first differs from at n + 1 (``_triple_counts``).
 
 Everything here is a deterministic reduction over immutable inputs, with a
 cache keyed by (class, pattern, depth) so repeated verifications are free.
@@ -131,6 +134,18 @@ def _triple_counts(pattern: Triple, depth: int) -> tuple[int, ...]:
     return tuple(
         pairs(m) + 1 if m < n else pairs(2 * n - m) for m in range(depth + 1)
     )
+
+
+def proving_depth(class_id: ClassId, n: int) -> int:
+    """
+    The least depth past n that proves a Wilf class of size n: D(n) = k(n - 1),
+    k = 2 in c3 and 3 in c4, where it exceeds n + 1; 0 for n <= 1, one pattern.
+
+    >>> [proving_depth(ClassId.AV_312_321, n) for n in (1, 2, 8)]
+    [0, 3, 21]
+    """
+    k = {ClassId.AV_312_231: 2, ClassId.AV_312_321: 3}.get(class_id, 0)
+    return max(n + 1, k * (n - 1)) if n > 1 else 0
 
 
 def _check_depth(depth: int) -> None:

@@ -372,7 +372,7 @@ def test_verify_ok_and_usage_error(capsys):
         ["report", "--class", "c3", "--max-n", "4", "--depth", "4"],
         # sizes and depths above the counting budget
         ["classify", "--class", "c2", "--n", "9", "--depth", "16"],
-        ["classify", "--class", "c2", "--n", "3", "--depth", "19"],
+        ["classify", "--class", "c2", "--n", "3", "--depth", "22"],
         ["report", "--class", "c3", "--max-n", "9", "--depth", "12"],
         # --format only where the output honours it
         ["gf", "--class", "c3", "--pattern", "2", "--format", "json"],
@@ -409,9 +409,9 @@ def test_out_of_domain_arguments_are_usage_errors(argv, capsys):
         (["classify", "--class", "c2", "--n", "8", "--depth", "16"], None),
         (["classify", "--class", "c2", "--n", "9", "--depth", "16"], "--n: must be at most 8, got 9"),
         (["classify", "--class", "c2", "--n", "-1"], "--n: must be at least 0, got -1"),
-        (["classify", "--class", "c2", "--n", "3", "--depth", "18"], None),
-        (["classify", "--class", "c2", "--n", "3", "--depth", "19"],
-         "--depth: must be at most 18, got 19"),
+        (["classify", "--class", "c2", "--n", "3", "--depth", "21"], None),
+        (["classify", "--class", "c2", "--n", "3", "--depth", "22"],
+         "--depth: must be at most 21, got 22"),
         (["classify", "--class", "c2", "--n", "0", "--depth", "-1"],
          "--depth: must be at least 0, got -1"),
         (["verify", "--class", "c4", "--n", "9", "--depth", "16"], "--n: must be at most 8, got 9"),
@@ -703,7 +703,7 @@ def test_ops_without_a_command_word_keep_the_top_level_parse(argv, capsys):
 
 
 def test_depth_below_the_proving_depth_is_noted(capsys):
-    # c4's D(8) = 21 exceeds MAX_DEPTH; the row is unchanged, one note names D(n)
+    # below c4's D(8) = 21 the row is unchanged, and one note names D(n)
     assert run(["classify", "--class", "c4", "--n", "8", "--depth", "10"]) == 0
     out, err = capture(capsys)
     assert out == "n,c_n,w_n,canonical_count\n8,128,32,33\n"
@@ -716,6 +716,31 @@ def test_depth_below_the_proving_depth_is_noted(capsys):
                  ["classify", "--class", "c2", "--n", "8", "--depth", "10"]):
         assert run(argv) == 0
         assert capture(capsys)[1] == "", argv
+
+
+@pytest.mark.parametrize("class_id", ["c1", "c2", "c3", "c4"])
+def test_an_omitted_depth_is_the_proving_depth(class_id, capsys):
+    # each counting command counts to engine.proving_depth of its size, where
+    # every check passes and no note is printed
+    for n in range(cli.MAX_PATTERN_SIZE + 1):
+        depth = str(engine.proving_depth(ClassId(class_id), n))
+        ops = [["classify", "--n", str(n)], ["classify", "--n", str(n), "--format", "json"],
+               ["verify", "--n", str(n)]] + [["report", "--max-n", str(n)]] * (n > 0)
+        for op in ops:
+            argv = [*op, "--class", class_id]
+            assert run(argv) == 0, argv
+            out, err = capture(capsys)
+            assert out and err == "", argv
+            assert run([*argv, "--depth", depth]) == 0
+            assert capture(capsys) == (out, ""), argv
+
+
+def test_c4_at_the_size_limit_is_proved_by_default(capsys):
+    # the omitted depth is D(8) = 21, so w_n reaches all 33 Wilf classes
+    assert run(["classify", "--class", "c4", "--n", "8"]) == 0
+    assert capture(capsys) == ("n,c_n,w_n,canonical_count\n8,128,33,33\n", "")
+    assert run(["classify", "--class", "c4", "--n", "8", "--format", "json"]) == 0
+    assert json.loads(capture(capsys)[0])["depth"] == 21
 
 
 def test_an_op_with_a_command_word_skips_the_top_level_pass(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wilfcollapse import cli
 from wilfcollapse.encodings import (
     ClassId,
     avoiding_elements,
@@ -16,6 +17,7 @@ from wilfcollapse.engine import (
     count_avoiders,
     canonical_groups,
     gf_crosscheck,
+    proving_depth,
     verify_completeness,
     verify_soundness,
     wilf_classes,
@@ -55,23 +57,26 @@ def test_count_avoiders_budget():
         collapse_rows(C3, 0, -1)
 
 
-def proving_depth(cid, n):
-    # D(n) of the engine docstring, and past n so that the depth separates
-    return max(2 * n - 2 if cid is C3 else 3 * n - 3, n + 1)
-
-
-@pytest.mark.parametrize("cid, n_max", [(C3, 12), (C4, 10)])
+@pytest.mark.parametrize("cid, n_max", [(C1, 30), (C2, 12), (C3, 12), (C4, 10)])
 def test_wilf_classes_past_the_cli_limits(cid, n_max):
-    # the library takes sizes and depths above the CLI's flag ranges; at
-    # depth D(n) the Wilf classes are the canonical classes
+    # the library takes sizes and depths above the CLI's flag ranges; at the
+    # proving depth the Wilf classes are the canonical classes
     for n in range(1, n_max + 1):
         depth = proving_depth(cid, n)
         brute = [g.members for g in wilf_classes(cid, n, depth)]
         assert brute == list(canonical_groups(cid, n)), (cid, n)
         assert verify_soundness(cid, n, depth) == ()
         assert verify_completeness(cid, n, depth) == ()
-    assert gf_crosscheck(cid, n_max, proving_depth(cid, n_max)) == 2 ** (n_max - 1)
+    if cid in (C3, C4):
+        assert gf_crosscheck(cid, n_max, proving_depth(cid, n_max)) == 2 ** (n_max - 1)
     assert count_avoiders(C4, (-2, 3), 40) == avoid_gf(C4, (-2, 3)).expand(40).integers()
+
+
+def test_the_cli_depth_limit_is_the_largest_proving_depth():
+    # every pattern size the CLI lists can be counted to a depth that proves
+    assert cli.MAX_DEPTH == max(proving_depth(c, cli.MAX_PATTERN_SIZE) for c in ClassId)
+    assert [proving_depth(c, 8) for c in ClassId] == [9, 9, 14, 21]
+    assert [proving_depth(c, n) for c in ClassId for n in (0, 1, 2)] == [0, 0, 3] * 4
 
 
 def test_gf_degrees_within_the_lemma():

@@ -44,9 +44,10 @@ from .genfun import avoid_gf, layered_root, lis_root
 
 MAX_ENUMERATE_SIZE = 18  # bounds the 2^(n-1) rows enumerate prints; it counts nothing
 # the library takes any size and depth; classify, verify and report list 2^(n-1)
-# patterns and count to MAX_DEPTH, c4's proving depth at MAX_PATTERN_SIZE
-MAX_PATTERN_SIZE = 8
-MAX_DEPTH = 21
+# patterns, which c4 counts in seconds at MAX_PATTERN_SIZE; the depth limit is
+# the largest proving depth there, so every size listed can be proved
+MAX_PATTERN_SIZE = 12
+MAX_DEPTH = max(proving_depth(c, MAX_PATTERN_SIZE) for c in ClassId)
 
 
 def _int_in(low: int, high: int | None = None):

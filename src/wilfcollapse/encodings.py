@@ -62,7 +62,7 @@ class ClassId(Enum):
 def validate_element(class_id: ClassId, e: ClassElement) -> None:
     if class_id is ClassId.AV_312_123:
         if not (
-            isinstance(e, tuple) and len(e) == 3 and all(isinstance(v, int) and v >= 0 for v in e)
+            isinstance(e, tuple) and len(e) == 3 and all(type(v) is int and v >= 0 for v in e)
         ):
             raise ValueError(f"not a corner triple: {e!r}")
         a, b, _ = e
@@ -74,10 +74,10 @@ def validate_element(class_id: ClassId, e: ClassElement) -> None:
         if not isinstance(e, str) or any(ch not in "LR" for ch in e):
             raise ValueError(f"not a wedge word: {e!r}")
     elif class_id is ClassId.AV_312_231:
-        if not (isinstance(e, tuple) and all(isinstance(v, int) and v >= 1 for v in e)):
+        if not (isinstance(e, tuple) and all(type(v) is int and v >= 1 for v in e)):
             raise ValueError(f"not a composition: {e!r}")
     elif class_id is ClassId.AV_312_321:
-        if not (isinstance(e, tuple) and all(isinstance(v, int) and v != 0 for v in e)):
+        if not (isinstance(e, tuple) and all(type(v) is int and v != 0 for v in e)):
             raise ValueError(f"not a sum word: {e!r}")
         for v in e:
             if v > 0 and v < 2:

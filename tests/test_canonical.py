@@ -78,6 +78,8 @@ def test_pair_validation():
         PartitionPair((3.0, 2), (1.5,))
     with pytest.raises(ValueError):
         PartitionPair([3, 2], [])
+    with pytest.raises(ValueError):
+        PartitionPair((2,), (True,))
 
 
 def test_serialization():

@@ -370,10 +370,10 @@ def test_verify_ok_and_usage_error(capsys):
         ["verify", "--class", "c1", "--n", "2", "--depth", "2"],
         ["classify", "--class", "c3", "--n", "4", "--depth", "4"],
         ["report", "--class", "c3", "--max-n", "4", "--depth", "4"],
-        # sizes and depths above the counting budget
-        ["classify", "--class", "c2", "--n", "9", "--depth", "16"],
-        ["classify", "--class", "c2", "--n", "3", "--depth", "22"],
-        ["report", "--class", "c3", "--max-n", "9", "--depth", "12"],
+        # sizes and depths above the CLI limits
+        ["classify", "--class", "c2", "--n", "13", "--depth", "16"],
+        ["classify", "--class", "c2", "--n", "3", "--depth", "34"],
+        ["report", "--class", "c3", "--max-n", "13", "--depth", "12"],
         # --format only where the output honours it
         ["gf", "--class", "c3", "--pattern", "2", "--format", "json"],
         ["canon", "--class", "c4", "--element", "a1 b3 a1", "--format", "json"],
@@ -406,18 +406,20 @@ def test_out_of_domain_arguments_are_usage_errors(argv, capsys):
         (["enumerate", "--class", "c1", "--n", "18"], None),
         (["enumerate", "--class", "c1", "--n", "19"], "--n: must be at most 18, got 19"),
         (["enumerate", "--class", "c1", "--n", "-1"], "--n: must be at least 0, got -1"),
-        (["classify", "--class", "c2", "--n", "8", "--depth", "16"], None),
-        (["classify", "--class", "c2", "--n", "9", "--depth", "16"], "--n: must be at most 8, got 9"),
+        (["classify", "--class", "c2", "--n", "12", "--depth", "16"], None),
+        (["classify", "--class", "c2", "--n", "13", "--depth", "16"],
+         "--n: must be at most 12, got 13"),
         (["classify", "--class", "c2", "--n", "-1"], "--n: must be at least 0, got -1"),
-        (["classify", "--class", "c2", "--n", "3", "--depth", "21"], None),
-        (["classify", "--class", "c2", "--n", "3", "--depth", "22"],
-         "--depth: must be at most 21, got 22"),
+        (["classify", "--class", "c2", "--n", "3", "--depth", "33"], None),
+        (["classify", "--class", "c2", "--n", "3", "--depth", "34"],
+         "--depth: must be at most 33, got 34"),
         (["classify", "--class", "c2", "--n", "0", "--depth", "-1"],
          "--depth: must be at least 0, got -1"),
-        (["verify", "--class", "c4", "--n", "9", "--depth", "16"], "--n: must be at most 8, got 9"),
-        (["report", "--class", "c2", "--max-n", "8", "--depth", "16"], None),
-        (["report", "--class", "c2", "--max-n", "9", "--depth", "16"],
-         "--max-n: must be at most 8, got 9"),
+        (["verify", "--class", "c4", "--n", "13", "--depth", "16"],
+         "--n: must be at most 12, got 13"),
+        (["report", "--class", "c2", "--max-n", "12", "--depth", "16"], None),
+        (["report", "--class", "c2", "--max-n", "13", "--depth", "16"],
+         "--max-n: must be at most 12, got 13"),
         (["report", "--class", "c2", "--max-n", "0"], "--max-n: must be at least 1, got 0"),
         (["roots", "--family", "q", "--max-n", "1"], None),
         (["roots", "--family", "q", "--max-n", "0"], "--max-n: must be at least 1, got 0"),
@@ -602,7 +604,7 @@ def test_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys, columns):
         ["--help"],
         ["nonsense"],
         [],
-        ["classify", "--class", "c2", "--n", "9", "--depth", "16"],
+        ["classify", "--class", "c2", "--n", "13", "--depth", "16"],
         ["roots", "--family", "layered", "--max-n", "1"],
         ["gf", "--class", "c3", "--pattern", "2+1", "--expand", "6"],
         ["classify", "--config", str(config), "--class", "c3", "--n", "4", "--format", "json"],
@@ -736,11 +738,12 @@ def test_an_omitted_depth_is_the_proving_depth(class_id, capsys):
 
 
 def test_c4_at_the_size_limit_is_proved_by_default(capsys):
-    # the omitted depth is D(8) = 21, so w_n reaches all 33 Wilf classes
-    assert run(["classify", "--class", "c4", "--n", "8"]) == 0
-    assert capture(capsys) == ("n,c_n,w_n,canonical_count\n8,128,33,33\n", "")
-    assert run(["classify", "--class", "c4", "--n", "8", "--format", "json"]) == 0
-    assert json.loads(capture(capsys)[0])["depth"] == 21
+    # the omitted depth is D(12) = 33, so w_n reaches all 158 Wilf classes
+    n = str(cli.MAX_PATTERN_SIZE)
+    assert run(["classify", "--class", "c4", "--n", n]) == 0
+    assert capture(capsys) == ("n,c_n,w_n,canonical_count\n12,2048,158,158\n", "")
+    assert run(["classify", "--class", "c4", "--n", n, "--format", "json"]) == 0
+    assert json.loads(capture(capsys)[0])["depth"] == 33
 
 
 def test_an_op_with_a_command_word_skips_the_top_level_pass(monkeypatch, capsys):

